@@ -27,9 +27,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH", help="key = value config file")
     parser.add_argument("--out", metavar="DIR", help="output directory (default from config)")
     parser.add_argument("--seed", type=int, help="seed recorded for randomized oracles")
-    parser.add_argument(
-        "--parallel", action="store_true", help="evaluate sweep points concurrently"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("tradeoff", help="gain versus beamwidth sweep (one CSV)")
@@ -74,7 +71,7 @@ def main(argv: list[str] | None = None) -> int:
         experiments = [args.command]
 
     for experiment in experiments:
-        manifest = run_experiment(cfg, experiment, out_dir, parallel=args.parallel)
+        manifest = run_experiment(cfg, experiment, out_dir)
         for name, rows in manifest.files.items():
             print(f"wrote {out_dir}/{name} ({rows} rows)")
     return 0

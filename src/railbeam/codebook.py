@@ -11,10 +11,16 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
+from .csvout import row_format, write_csv
 from .geometry import ArrayConfig, coverage_interval, total_coverage
+
+PHASE_TABLE_HEADER = ("beam_id", "element_id", "phase_rad")
+TRAVERSE_HEADER = ("t_s", "theta_b_rad", "beam_id", "switch")
+_TRAVERSE_ROW = row_format(TRAVERSE_HEADER, int_columns=("beam_id", "switch"))
 
 
 class NotYetEnteredError(ValueError):
@@ -85,6 +91,13 @@ def wavenumber(cfg: ArrayConfig) -> float:
     return 2.0 * math.pi / cfg.wavelength
 
 
+def _beam_centers(cfg: ArrayConfig, beam_count: int) -> np.ndarray:
+    """Midpoints of the ``beam_count`` equal cells of the coverage interval."""
+    lo, _ = coverage_interval(cfg)
+    cell = total_coverage(cfg) / beam_count
+    return lo + (np.arange(1, beam_count + 1) - 0.5) * cell
+
+
 def build_phase_mapper(cfg: ArrayConfig, beam_count: int) -> PhaseMapper:
     """Phase table steering one beam at each cell midpoint.
 
@@ -98,9 +111,7 @@ def build_phase_mapper(cfg: ArrayConfig, beam_count: int) -> PhaseMapper:
         raise ValueError(
             f"beam_count {beam_count} exceeds element_count {cfg.element_count}"
         )
-    lo, _ = coverage_interval(cfg)
-    cell = total_coverage(cfg) / beam_count
-    centers = lo + (np.arange(1, beam_count + 1) - 0.5) * cell
+    centers = _beam_centers(cfg, beam_count)
     k = wavenumber(cfg)
     phases = np.outer(np.arange(cfg.element_count), -k * cfg.spacing * np.cos(centers))
     return PhaseMapper(phases=phases, beam_centers=centers)
@@ -187,14 +198,18 @@ def simulate_traverse(
     return TraverseLog(samples=tuple(samples))
 
 
+def phase_table_text(mapper: PhaseMapper) -> Iterator[str]:
+    """The phase table as ``beam_id,element_id,phase_rad`` CSV lines, one chunk per beam."""
+    # row_format's line for this header, as an f-string over Python floats
+    # (``tolist``): the phase table is by far the largest table written.
+    for beam in range(1, mapper.beam_count + 1):
+        column = mapper.phases[:, beam - 1].tolist()
+        yield "".join(f"{beam},{m},{p:.12g}\n" for m, p in enumerate(column, start=1))
+
+
 def export_phase_mapper(mapper: PhaseMapper, path: str | Path) -> None:
     """Write the phase table as beam_id,element_id,phase_rad rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["beam_id", "element_id", "phase_rad"])
-        for i in range(mapper.beam_count):
-            for m in range(mapper.element_count):
-                writer.writerow([i + 1, m + 1, f"{mapper.phases[m, i]:.12g}"])
+    write_csv(path, PHASE_TABLE_HEADER, phase_table_text(mapper))
 
 
 def load_phase_mapper(path: str | Path, cfg: ArrayConfig) -> PhaseMapper:
@@ -209,18 +224,14 @@ def load_phase_mapper(path: str | Path, cfg: ArrayConfig) -> PhaseMapper:
     phases = np.empty((n_elem, n_beams))
     for (i, m), phase in rows.items():
         phases[m - 1, i - 1] = phase
-    lo, _ = coverage_interval(cfg)
-    cell = total_coverage(cfg) / n_beams
-    centers = lo + (np.arange(1, n_beams + 1) - 0.5) * cell
-    return PhaseMapper(phases=phases, beam_centers=centers)
+    return PhaseMapper(phases=phases, beam_centers=_beam_centers(cfg, n_beams))
+
+
+def traverse_text(log: TraverseLog) -> Iterator[str]:
+    """A traverse log as ``t_s,theta_b_rad,beam_id,switch`` CSV lines."""
+    return (_TRAVERSE_ROW.format(s.time, s.train_angle, s.beam_id, s.switched) for s in log.samples)
 
 
 def export_traverse(log: TraverseLog, path: str | Path) -> None:
     """Write a traverse log as t_s,theta_b_rad,beam_id,switch rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_s", "theta_b_rad", "beam_id", "switch"])
-        for s in log.samples:
-            writer.writerow(
-                [f"{s.time:.12g}", f"{s.train_angle:.12g}", s.beam_id, int(s.switched)]
-            )
+    write_csv(path, TRAVERSE_HEADER, traverse_text(log))

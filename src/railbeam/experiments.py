@@ -1,7 +1,8 @@
 """Deterministic CSV experiments reproducing the headline sweeps.
 
 Each experiment writes one or more CSVs plus a JSON manifest echoing the
-resolved configuration. Identical configuration yields byte-identical
+resolved configuration. Rows are formatted as they are computed and
+streamed to their file. Identical configuration yields byte-identical
 CSVs; timestamps live only in the manifest.
 """
 
@@ -9,16 +10,23 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import __version__
-from .codebook import build_phase_mapper, simulate_traverse
-from .config import ExperimentConfig
-from .encounter import rate_region, symmetric_rate, tfds_baseline
+from .codebook import (
+    PHASE_TABLE_HEADER,
+    TRAVERSE_HEADER,
+    build_phase_mapper,
+    phase_table_text,
+    simulate_traverse,
+    traverse_text,
+)
+from .config import ExperimentConfig, dbm_to_watts
+from .csvout import row_format, write_csv
+from .encounter import RateRegion, rate_region, symmetric_rate, tfds_baseline
 from .geometry import coverage_interval, rail_coordinate
 from .positioning import search_beam_count
 
@@ -33,74 +41,36 @@ class RunManifest:
     notes: tuple[str, ...]
 
     def write(self, path: Path) -> None:
-        payload = {
-            "experiment": self.experiment,
-            "version": self.version,
-            "generated_at": self.generated_at,
-            "config": self.config,
-            "files": self.files,
-            "notes": list(self.notes),
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:.12g}"
-
-
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> int:
-    count = 0
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-            count += 1
-    return count
-
-
-def _pmap(fn: Callable, items: Sequence, parallel: bool) -> list:
-    """Map preserving input order; thread pool only when asked."""
-    if not parallel or len(items) < 2:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor() as pool:
-        return list(pool.map(fn, items))
-
-
-def _run_tradeoff(cfg: ExperimentConfig, parallel: bool):
+def _run_tradeoff(cfg: ExperimentConfig):
     n = cfg.tradeoff_grid_size
     lo, hi = cfg.tradeoff_theta_h_min, cfg.tradeoff_theta_h_max
     factor = cfg.array_type_factor * cfg.design_constant / math.pi
-    rows = []
-    for i in range(n):
-        width = lo + (hi - lo) * i / (n - 1)
-        rows.append((width, factor / width))
-    return {"tradeoff.csv": (("theta_h_rad", "directivity"), rows)}, []
+    header = ("theta_h_rad", "directivity")
+    fmt = row_format(header)
+    widths = (lo + (hi - lo) * i / (n - 1) for i in range(n))
+    return {"tradeoff.csv": (header, (fmt.format(w, factor / w) for w in widths))}, []
 
 
-def _search_rows(cfg: ExperimentConfig, jobs, parallel: bool, lead: str):
+def _search_lines(cfg: ExperimentConfig, jobs, header: Sequence[str]) -> Iterator[str]:
+    fmt = row_format(header, int_columns=("n_star", "infeasible"))
     array_cfg = cfg.array_config()
-
-    def run(job):
-        lead_value, theta, p_th, sigma = job
+    for lead_value, theta, p_th, sigma in jobs:
         geo = cfg.rail_geometry(theta)
         model = cfg.positioning_model(sigma=sigma, p_th=p_th)
         result = search_beam_count(array_cfg, geo, model)
-        row = [lead_value, p_th, result.optimal_beam_count, result.directivity_at_optimum,
-               result.achieved_probability, not result.feasible]
-        if lead == "theta_b_rad":
-            # spacing/beam-count duality columns: d'/d shrinks as N* grows
-            row.insert(3, cfg.beam_count / result.optimal_beam_count)
-            row.insert(4, result.optimal_beam_count / cfg.beam_count)
-        return tuple(row)
-
-    return _pmap(run, jobs, parallel)
+        n_star = result.optimal_beam_count
+        # spacing/beam-count duality columns: d'/d shrinks as N* grows
+        ratios = (cfg.beam_count / n_star, n_star / cfg.beam_count) if "d_ratio" in header else ()
+        yield fmt.format(
+            lead_value, p_th, n_star, *ratios, result.directivity_at_optimum,
+            result.achieved_probability, not result.feasible,
+        )
 
 
-def _run_d_vs_theta(cfg: ExperimentConfig, parallel: bool):
+def _run_d_vs_theta(cfg: ExperimentConfig):
     array_cfg = cfg.array_config()
     lo, hi = coverage_interval(array_cfg)
     margin = (hi - lo) * 1e-3
@@ -111,7 +81,6 @@ def _run_d_vs_theta(cfg: ExperimentConfig, parallel: bool):
         for p_th in cfg.p_th_list
         for theta in thetas
     ]
-    rows = _search_rows(cfg, jobs, parallel, "theta_b_rad")
     header = (
         "theta_b_rad", "p_th", "n_star", "d_ratio", "n_ratio",
         "directivity", "achieved_probability", "infeasible",
@@ -119,54 +88,57 @@ def _run_d_vs_theta(cfg: ExperimentConfig, parallel: bool):
     notes = [
         f"theta_b swept across the computed coverage interval ({lo:.6g}, {hi:.6g}) rad"
     ]
-    return {"d_vs_theta.csv": (header, rows)}, notes
+    return {"d_vs_theta.csv": (header, _search_lines(cfg, jobs, header))}, notes
 
 
-def _run_directivity_vs_sigma(cfg: ExperimentConfig, parallel: bool):
+def _run_directivity_vs_sigma(cfg: ExperimentConfig):
     jobs = [
         (sigma, cfg.theta_b_rad, p_th, sigma)
         for p_th in cfg.p_th_list
         for sigma in cfg.sigma_grid_m
     ]
-    rows = _search_rows(cfg, jobs, parallel, "sigma_m")
     header = (
         "sigma_m", "p_th", "n_star", "directivity", "achieved_probability", "infeasible",
     )
-    return {"directivity_vs_sigma.csv": (header, rows)}, []
+    return {"directivity_vs_sigma.csv": (header, _search_lines(cfg, jobs, header))}, []
 
 
-def _run_rate_region(cfg: ExperimentConfig, parallel: bool):
-    def region_rows(eta: float):
-        region = rate_region(cfg.encounter_scenario(eta=eta), cfg.r2_grid_size)
-        return [(r2, r1) for (r1, r2) in region.pairs]
+_REGION_HEADER = ("R2_bps_hz", "R1_bps_hz")
+_REGION_ROW = row_format(_REGION_HEADER)
 
-    results = _pmap(region_rows, list(cfg.eta_list), parallel)
+
+def _region_lines(region: RateRegion) -> Iterator[str]:
+    return (_REGION_ROW.format(r2, r1) for r1, r2 in region.pairs)
+
+
+def _run_rate_region(cfg: ExperimentConfig):
     files = {}
-    for eta, rows in zip(cfg.eta_list, results):
-        files[f"rate_region_eta{eta:g}.csv"] = (("R2_bps_hz", "R1_bps_hz"), rows)
+    for eta in cfg.eta_list:
+        region = rate_region(cfg.encounter_scenario(eta=eta), cfg.r2_grid_size)
+        files[f"rate_region_eta{eta:g}.csv"] = (_REGION_HEADER, _region_lines(region))
     baseline = tfds_baseline(cfg.encounter_scenario(), cfg.r2_grid_size)
-    files["tfds.csv"] = (
-        ("R2_bps_hz", "R1_bps_hz"),
-        [(r2, r1) for (r1, r2) in baseline.pairs],
-    )
+    files["tfds.csv"] = (_REGION_HEADER, _region_lines(baseline))
     return files, []
 
 
-def _run_symmetric(cfg: ExperimentConfig, parallel: bool):
+_SYMMETRIC_HEADER = ("eta", "R0_bps_hz", "p0_dbm")
+_SYMMETRIC_ROW = row_format(_SYMMETRIC_HEADER)
+
+
+def _symmetric_lines(cfg: ExperimentConfig) -> Iterator[str]:
     n = cfg.eta_grid_size
     etas = [2.0 * i / (n - 1) for i in range(n)]
-    jobs = [(eta, dbm) for dbm in cfg.p0_dbm_list for eta in etas]
-
-    def run(job):
-        eta, dbm = job
-        sc = cfg.encounter_scenario(eta=eta, p0_w=10.0 ** ((dbm - 30.0) / 10.0))
-        return (eta, symmetric_rate(sc), dbm)
-
-    rows = _pmap(run, jobs, parallel)
-    return {"symmetric.csv": (("eta", "R0_bps_hz", "p0_dbm"), rows)}, []
+    for dbm in cfg.p0_dbm_list:
+        for eta in etas:
+            sc = cfg.encounter_scenario(eta=eta, p0_w=dbm_to_watts(dbm))
+            yield _SYMMETRIC_ROW.format(eta, symmetric_rate(sc), dbm)
 
 
-def _run_traverse(cfg: ExperimentConfig, parallel: bool):
+def _run_symmetric(cfg: ExperimentConfig):
+    return {"symmetric.csv": (_SYMMETRIC_HEADER, _symmetric_lines(cfg))}, []
+
+
+def _run_traverse(cfg: ExperimentConfig):
     array_cfg = cfg.array_config()
     mapper = build_phase_mapper(array_cfg, cfg.beam_count)
     lo, hi = coverage_interval(array_cfg)
@@ -181,22 +153,12 @@ def _run_traverse(cfg: ExperimentConfig, parallel: bool):
         t += cfg.traverse_dt_s
         u = u_start - cfg.v0_mps * t
     log = simulate_traverse(trajectory, mapper, array_cfg)
-    rows = [
-        (s.time, s.train_angle, s.beam_id, s.switched) for s in log.samples
-    ]
-    header = ("t_s", "theta_b_rad", "beam_id", "switch")
-    return {"traverse.csv": (header, rows)}, []
+    return {"traverse.csv": (TRAVERSE_HEADER, traverse_text(log))}, []
 
 
-def _run_export_codebook(cfg: ExperimentConfig, parallel: bool):
-    array_cfg = cfg.array_config()
-    mapper = build_phase_mapper(array_cfg, cfg.beam_count)
-    rows = [
-        (i + 1, m + 1, mapper.phases[m, i])
-        for i in range(mapper.beam_count)
-        for m in range(mapper.element_count)
-    ]
-    return {"codebook.csv": (("beam_id", "element_id", "phase_rad"), rows)}, []
+def _run_export_codebook(cfg: ExperimentConfig):
+    mapper = build_phase_mapper(cfg.array_config(), cfg.beam_count)
+    return {"codebook.csv": (PHASE_TABLE_HEADER, phase_table_text(mapper))}, []
 
 
 EXPERIMENTS: dict[str, Callable] = {
@@ -214,17 +176,14 @@ def run_experiment(
     cfg: ExperimentConfig,
     experiment: str,
     out_dir: str | Path,
-    parallel: bool = False,
 ) -> RunManifest:
     """Run one named experiment, returning the manifest written next to it."""
     if experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    files, notes = EXPERIMENTS[experiment](cfg, parallel)
-    counts = {}
-    for name, (header, rows) in files.items():
-        counts[name] = _write_csv(out / name, header, rows)
+    files, notes = EXPERIMENTS[experiment](cfg)
+    counts = {name: write_csv(out / name, header, text) for name, (header, text) in files.items()}
     manifest = RunManifest(
         experiment=experiment,
         version=__version__,

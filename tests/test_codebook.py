@@ -294,7 +294,7 @@ class TestCsvRoundTrip:
         log = simulate_traverse([(0.0, 1.0), (0.5, 1.3), (1.0, 1.6)], mapper, CFG8)
         path = tmp_path / "traverse.csv"
         export_traverse(log, path)
-        lines = path.read_text().splitlines()
+        lines = path.read_bytes().decode().split("\n")
         assert lines[0] == "t_s,theta_b_rad,beam_id,switch"
-        assert len(lines) == 4
+        assert len(lines) == 5 and lines[-1] == ""
         assert lines[1].endswith(",0")

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from railbeam.cli import main
+from railbeam.codebook import build_phase_mapper, export_phase_mapper
 from railbeam.config import load_config
 from railbeam.encounter import no_priority_allocation, symmetric_rate
 from railbeam.experiments import EXPERIMENTS, run_experiment
@@ -64,14 +65,6 @@ class TestRunExperiment:
             run_experiment(small_cfg, name, b)
         for csv_a in a.glob("*.csv"):
             assert csv_a.read_bytes() == (b / csv_a.name).read_bytes()
-
-    def test_parallel_matches_serial(self, small_cfg, tmp_path):
-        serial, parallel = tmp_path / "s", tmp_path / "p"
-        run_experiment(small_cfg, "symmetric", serial, parallel=False)
-        run_experiment(small_cfg, "symmetric", parallel, parallel=True)
-        assert (serial / "symmetric.csv").read_bytes() == (
-            parallel / "symmetric.csv"
-        ).read_bytes()
 
 
 class TestRowRederivability:
@@ -207,6 +200,19 @@ class TestCli:
         cfg = tmp_path / "c.cfg"
         cfg.write_text("element_count = 16\nbeam_count = 16\n")
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "export-codebook"]) == 0
-        lines = (tmp_path / "o" / "codebook.csv").read_text().splitlines()
-        assert lines[0] == "beam_id,element_id,phase_rad"
-        assert len(lines) == 1 + 16 * 16
+        mapper = build_phase_mapper(load_config(cfg).array_config(), 16)
+        expected = ["beam_id,element_id,phase_rad"] + [
+            f"{b},{e},{mapper.phases[e - 1, b - 1]:.12g}"
+            for b in range(1, 17)
+            for e in range(1, 17)
+        ]
+        data = (tmp_path / "o" / "codebook.csv").read_bytes()
+        assert data.decode().split("\n") == expected + [""]
+        meta = json.loads((tmp_path / "o" / "export_codebook_manifest.json").read_text())
+        assert meta["files"] == {"codebook.csv": 16 * 16}
+
+    def test_export_phase_mapper_matches_cli_bytes(self, small_cfg, tmp_path):
+        run_experiment(small_cfg, "export-codebook", tmp_path)
+        mapper = build_phase_mapper(small_cfg.array_config(), small_cfg.beam_count)
+        export_phase_mapper(mapper, tmp_path / "library.csv")
+        assert (tmp_path / "library.csv").read_bytes() == (tmp_path / "codebook.csv").read_bytes()
