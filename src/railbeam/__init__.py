@@ -11,7 +11,6 @@ station.
 __version__ = "0.1.0"
 
 from .codebook import (
-    BeamWeight,
     NotYetEnteredError,
     PhaseMapper,
     SteeringVector,
@@ -28,6 +27,7 @@ from .codebook import (
 from .config import ConfigError, ExperimentConfig, load_config
 from .encounter import (
     AllocationProfile,
+    ConvergenceError,
     DecodePriority,
     EncounterScenario,
     EncounterWindowError,
@@ -71,8 +71,8 @@ __all__ = [
     "ArrayConfig",
     "AllocationProfile",
     "BeamGeometry",
-    "BeamWeight",
     "ConfigError",
+    "ConvergenceError",
     "DecodePriority",
     "EncounterScenario",
     "EncounterWindowError",

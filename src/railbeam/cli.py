@@ -26,7 +26,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"railbeam {__version__}")
     parser.add_argument("--config", metavar="PATH", help="key = value config file")
     parser.add_argument("--out", metavar="DIR", help="output directory (default from config)")
-    parser.add_argument("--seed", type=int, help="seed recorded for randomized oracles")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("tradeoff", help="gain versus beamwidth sweep (one CSV)")
@@ -57,8 +56,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg.seed = args.seed
     out_dir = args.out if args.out is not None else cfg.out_dir
 
     if args.command == "search-n":

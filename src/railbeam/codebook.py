@@ -57,18 +57,6 @@ class SteeringVector:
 
 
 @dataclass(frozen=True)
-class BeamWeight:
-    """Aggregate excitation of one beam: weight = amplitude_sum * directivity."""
-
-    amplitude_sum: float
-    directivity: float
-
-    @property
-    def weight(self) -> float:
-        return self.amplitude_sum * self.directivity
-
-
-@dataclass(frozen=True)
 class TraverseSample:
     time: float  # s
     train_angle: float  # rad

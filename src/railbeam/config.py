@@ -35,8 +35,16 @@ def kmh_to_mps(kmh: float) -> float:
 
 DEFAULT_NOISE_POWER_W = 10.0 ** (-13.4)  # -104 dBm
 
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{value} is not finite")
+    return value
+
+
 # key -> (parser, description); None default means "derived after parsing"
-_FLOAT = float
+_FLOAT = _finite_float
 _INT = int
 
 
@@ -47,12 +55,12 @@ def _float_list(text: str) -> tuple[float, ...]:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError("expected start:stop:count")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop, count = _FLOAT(parts[0]), _FLOAT(parts[1]), int(parts[2])
         if count < 2:
             raise ValueError("count must be >= 2")
         step = (stop - start) / (count - 1)
         return tuple(start + i * step for i in range(count))
-    return tuple(float(p) for p in text.split(",") if p.strip())
+    return tuple(_FLOAT(p) for p in text.split(",") if p.strip())
 
 
 _KEY_PARSERS = {
@@ -83,7 +91,6 @@ _KEY_PARSERS = {
     "eta": _FLOAT,
     "beam_weight_1": _FLOAT,
     "beam_weight_2": _FLOAT,
-    "seed": _INT,
     "theta_grid_size": _INT,
     "sigma_grid_m": _float_list,
     "p_th_list": _float_list,
@@ -138,7 +145,6 @@ class ExperimentConfig:
     beam_weight_1: float = 0.0  # defaults to directivity at beam_count
     beam_weight_2: float = 0.0
     # harness
-    seed: int = 42
     theta_grid_size: int = 101
     sigma_grid_m: tuple[float, ...] = field(
         default_factory=lambda: tuple(0.5 * (i + 1) for i in range(20))

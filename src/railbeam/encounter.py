@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from typing import Callable
 
 from .numerics import CumulativeIntegral
 
@@ -29,6 +29,10 @@ class EncounterWindowError(ValueError):
 
 class InfeasibleRateError(ValueError):
     """Requested rate exceeds what the train can sustain alone."""
+
+
+class ConvergenceError(ArithmeticError):
+    """A root search ran out of iterations."""
 
 
 class DecodePriority(Enum):
@@ -159,34 +163,12 @@ def train_distances(
     return d1, d2
 
 
-@lru_cache(maxsize=32)
-def _gain_integrals(
-    d0: float, h0: float, half_coverage: float, speed: float, exponent: float, offset: float
-) -> tuple[CumulativeIntegral, CumulativeIntegral]:
-    """Cumulative integrals of d_i(t)**exponent, cached per geometry."""
-    base = d0 * d0 + h0 * h0
-    shift1 = half_coverage - offset * half_coverage
-    shift2 = half_coverage
-
-    def g1(t: float) -> float:
-        u = speed * t - shift1
-        return (base + u * u) ** (exponent / 2.0)
-
-    def g2(t: float) -> float:
-        u = speed * t - shift2
-        return (base + u * u) ** (exponent / 2.0)
-
-    return CumulativeIntegral(g1), CumulativeIntegral(g2)
-
-
 def _integrals(sc: EncounterScenario) -> tuple[CumulativeIntegral, CumulativeIntegral]:
-    return _gain_integrals(
-        sc.perpendicular_distance,
-        sc.antenna_height,
-        sc.half_coverage,
-        sc.speed,
-        sc.path_loss_exponent,
-        sc.entry_offset,
+    base = sc.perpendicular_distance**2 + sc.antenna_height**2
+    shift1 = sc.half_coverage - sc.entry_offset * sc.half_coverage
+    return (
+        CumulativeIntegral(base, sc.speed, shift1, sc.path_loss_exponent),
+        CumulativeIntegral(base, sc.speed, sc.half_coverage, sc.path_loss_exponent),
     )
 
 
@@ -200,6 +182,40 @@ def _serving_window(sc: EncounterScenario, train: int) -> tuple[float, float]:
 
 def _weight(sc: EncounterScenario, train: int) -> float:
     return sc.beam_weight_1 if train == 1 else sc.beam_weight_2
+
+
+_MAX_ITERATIONS = 100
+
+
+def _false_position(
+    f: Callable[[float], float], lo: float, hi: float, f_lo: float, f_hi: float, tol: float
+) -> float:
+    """Zero of ``f`` in ``[lo, hi]``, given ``f(lo) = f_lo != 0`` and ``f(hi) = f_hi``.
+
+    Returns ``hi`` when ``f_hi`` is zero or has the sign of ``f_lo``.
+    Otherwise runs Illinois false position: the zero stays bracketed, and
+    an end kept twice in a row has its value halved. Stops once
+    ``|f| <= tol`` or the bracket has shrunk to rounding.
+    """
+    if f_hi == 0.0 or (f_hi > 0.0) == (f_lo > 0.0):
+        return hi
+    kept = 0  # -1: lo survived the last step, +1: hi did
+    for _ in range(_MAX_ITERATIONS):
+        x = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+        fx = f(x)
+        if abs(fx) <= tol or not lo < x < hi:
+            return x
+        if (fx > 0.0) == (f_lo > 0.0):
+            lo, f_lo = x, fx
+            if kept > 0:
+                f_hi *= 0.5
+            kept = 1
+        else:
+            hi, f_hi = x, fx
+            if kept < 0:
+                f_lo *= 0.5
+            kept = -1
+    raise ConvergenceError(f"|f| > {tol:g} after {_MAX_ITERATIONS} steps in [{lo!r}, {hi!r}]")
 
 
 def single_train_rmax(sc: EncounterScenario, train: int) -> float:
@@ -357,11 +373,12 @@ def no_priority_allocation(
     """Best rate for train 1 given train 2 sustains ``rate_2``.
 
     Returns ``(rate_1, split_parameter, profile)``. The split and the rate
-    solve both average-power equalities simultaneously: an outer bisection
-    moves the split while each trial inverts train 1's power equality in
-    closed form and checks train 2's budget. Below the threshold where
-    train 2 can hold its rate decoded-first everywhere, its budget goes
-    slack and train 1 keeps its full solo rate (flat region boundary).
+    solve both average-power equalities simultaneously: a bracketed root
+    search moves the split while each trial inverts train 1's power
+    equality in closed form and checks train 2's budget. Below the
+    threshold where train 2 can hold its rate decoded-first everywhere,
+    its budget goes slack and train 1 keeps its full solo rate (flat
+    region boundary).
     """
     r_max_2 = single_train_rmax(sc, 2)
     if rate_2 < 0.0:
@@ -403,25 +420,18 @@ def no_priority_allocation(
         return rate_1, 0.0, profile
 
     rate_at_zero = rate_1_from_budget(0.0)
-    if h2_usage(0.0, rate_at_zero) <= 1.0:
+    usage_at_zero = h2_usage(0.0, rate_at_zero)
+    if usage_at_zero <= 1.0:
         profile = AllocationProfile(sc, rate_at_zero, rate_2, 0.0, h2_budget_slack=True)
         return rate_at_zero, 0.0, profile
 
-    lo, hi = 0.0, span
-    lam = span
-    rate_1 = rate_1_from_budget(span)
-    for _ in range(200):
-        lam = 0.5 * (lo + hi)
-        rate_1 = rate_1_from_budget(lam)
-        usage = h2_usage(lam, rate_1)
-        if abs(usage - 1.0) <= 1e-8:
-            break
-        if usage > 1.0:
-            lo = lam
-        else:
-            hi = lam
-        if hi - lo < 1e-15 * max(span, 1.0):
-            break
+    def log_usage(lam: float) -> float:
+        return math.log(h2_usage(lam, rate_1_from_budget(lam)))
+
+    # Train 2's usage at the far end is 1 only at its solo maximum; rounding
+    # may leave it a hair above, and then the split sits at the end.
+    lam = _false_position(log_usage, 0.0, span, math.log(usage_at_zero), log_usage(span), 1e-14)
+    rate_1 = rate_1_from_budget(lam)
     profile = AllocationProfile(sc, rate_1, rate_2, lam)
     return rate_1, lam, profile
 
@@ -431,14 +441,9 @@ def rate_region(sc: EncounterScenario, grid_size: int) -> RateRegion:
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
     r_max_2 = single_train_rmax(sc, 2)
-    pairs = []
-    for j in range(grid_size):
-        r2 = r_max_2 * j / (grid_size - 1)
-        r1, _, _ = no_priority_allocation(sc, r2)
-        pairs.append((r1, r2))
-    return RateRegion(
-        pairs=tuple(pairs), r_max=r_max_2, r_prime_max=priority_rate(sc, 2)
-    )
+    r2s = [r_max_2 * j / (grid_size - 1) for j in range(grid_size)]
+    pairs = tuple((no_priority_allocation(sc, r2)[0], r2) for r2 in r2s)
+    return RateRegion(pairs=pairs, r_max=r_max_2, r_prime_max=priority_rate(sc, 2))
 
 
 def tfds_baseline(sc: EncounterScenario, grid_size: int) -> RateRegion:
@@ -447,23 +452,16 @@ def tfds_baseline(sc: EncounterScenario, grid_size: int) -> RateRegion:
         raise ValueError("grid_size must be >= 2")
     r1_max = single_train_rmax(sc, 1)
     r2_max = single_train_rmax(sc, 2)
-    pairs = []
-    for j in range(grid_size):
-        share = j / (grid_size - 1)
-        pairs.append((share * r1_max, (1.0 - share) * r2_max))
-    return RateRegion(pairs=tuple(pairs), r_max=r2_max, r_prime_max=r1_max)
+    shares = [j / (grid_size - 1) for j in range(grid_size)]
+    pairs = tuple((share * r1_max, (1.0 - share) * r2_max) for share in shares)
+    return RateRegion(pairs=pairs, r_max=r2_max, r_prime_max=r1_max)
 
 
 def symmetric_rate(sc: EncounterScenario) -> float:
     """Largest common rate both trains can sustain simultaneously."""
     hi = min(single_train_rmax(sc, 1), single_train_rmax(sc, 2))
-    if no_priority_allocation(sc, hi)[0] >= hi:
-        return hi
-    lo = 0.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if no_priority_allocation(sc, mid)[0] >= mid:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+
+    def surplus(rate: float) -> float:
+        return no_priority_allocation(sc, rate)[0] - rate
+
+    return _false_position(surplus, 0.0, hi, surplus(0.0), surplus(hi), 1e-13)

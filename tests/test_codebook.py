@@ -6,7 +6,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from railbeam.codebook import (
-    BeamWeight,
     NotYetEnteredError,
     build_phase_mapper,
     array_factor,
@@ -156,17 +155,6 @@ class TestArrayFactor:
         amps = np.linspace(1.0, 2.0, 8)
         value = array_factor(mapper.beam_centers[2], 3, mapper, CFG8, amplitudes=amps)
         assert value == pytest.approx(1.0, abs=1e-12)
-
-
-class TestBeamWeight:
-    def test_weight_identity(self):
-        bw = BeamWeight(amplitude_sum=8 * 0.25, directivity=64.0)
-        assert bw.weight == bw.amplitude_sum * bw.directivity
-
-    def test_uniform_amplitude_sum(self):
-        per_element = 0.37
-        bw = BeamWeight(amplitude_sum=128 * per_element, directivity=128.0)
-        assert bw.amplitude_sum == pytest.approx(128 * per_element, rel=1e-15)
 
 
 class TestSelectBeam:

@@ -33,7 +33,6 @@ class TestDefaults:
         assert cfg.n_max == 128
         assert cfg.noise_power_w == pytest.approx(10 ** (-13.4), rel=1e-15)
         assert cfg.p0_w == pytest.approx(dbm_to_watts(43.0), rel=1e-15)
-        assert cfg.seed == 42
 
     def test_none_path_is_all_defaults(self):
         cfg = load_config(None)
@@ -81,6 +80,22 @@ class TestRejections:
     def test_bad_value_reports_line(self, tmp_path):
         with pytest.raises(ConfigError, match="line 1.*bad value"):
             load_config(write(tmp_path, "eta = fast\n"))
+
+    @pytest.mark.parametrize(
+        "line",
+        ["d0_m = nan", "L_m = inf", "sigma_m = nan", "p0_w = nan", "theta_b_rad = nan"],
+    )
+    def test_non_finite_value_reports_line(self, tmp_path, line):
+        with pytest.raises(ConfigError, match="line 2.*not finite"):
+            load_config(write(tmp_path, f"eta = 1\n{line}\n"))
+
+    def test_non_finite_list_entry_reports_line(self, tmp_path):
+        with pytest.raises(ConfigError, match="line 1.*not finite"):
+            load_config(write(tmp_path, "p0_dbm_list = 37, nan\n"))
+
+    def test_seed_is_an_unknown_key(self, tmp_path):
+        with pytest.raises(ConfigError, match="line 1.*unknown key 'seed'"):
+            load_config(write(tmp_path, "seed = 42\n"))
 
     def test_duplicate_key(self, tmp_path):
         with pytest.raises(ConfigError, match="duplicate"):

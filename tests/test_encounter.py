@@ -1,10 +1,13 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
+from railbeam import encounter
 from railbeam.encounter import (
     AllocationProfile,
+    ConvergenceError,
     DecodePriority,
     EncounterScenario,
     EncounterWindowError,
@@ -19,6 +22,7 @@ from railbeam.encounter import (
     tfds_baseline,
     train_distances,
 )
+from railbeam.numerics import adaptive_simpson
 
 NOISE = 10.0 ** (-13.4)
 P0 = 10.0 ** 1.3  # 43 dBm
@@ -48,6 +52,37 @@ def gain_integral(sc, train, a, b, n=200001):
         sc.perpendicular_distance**2 + sc.antenna_height**2 + (sc.speed * t - shift) ** 2
     )
     return float(np.trapezoid(d**sc.path_loss_exponent, t))
+
+
+def simpson_r1(sc, r2):
+    """Train 1's best rate at ``r2`` by bisection over adaptive-Simpson budgets."""
+    base = sc.perpendicular_distance**2 + sc.antenna_height**2
+
+    def gain(train, a, b):
+        shift = sc.half_coverage - (sc.entry_offset * sc.half_coverage if train == 1 else 0.0)
+        f = lambda t: (base + (sc.speed * t - shift) ** 2) ** (sc.path_loss_exponent / 2)
+        return adaptive_simpson(f, a, b, rel_tol=1e-13)
+
+    t_ov = sc.overlap_end
+    solo1, full1 = gain(1, sc.entry_time, 0.0), gain(1, 0.0, t_ov)
+    solo2, full2 = gain(2, t_ov, sc.exit_time), gain(2, 0.0, t_ov)
+    budget = sc.power_budget / sc.noise_power
+
+    def rate_1(ts):
+        early1 = gain(1, 0.0, ts)
+        inverted = solo1 + 2.0**r2 * early1 + full1 - early1
+        return math.log2(1.0 + budget * sc.beam_weight_1 / inverted)
+
+    def usage_2(ts):
+        early2 = gain(2, 0.0, ts)
+        weighted = solo2 + early2 + 2.0 ** rate_1(ts) * (full2 - early2)
+        return (2.0**r2 - 1.0) * weighted / (sc.beam_weight_2 * budget)
+
+    lo, hi = 0.0, t_ov
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if usage_2(mid) > 1.0 else (lo, mid)
+    return rate_1(0.5 * (lo + hi))
 
 
 class TestDistances:
@@ -173,6 +208,43 @@ class TestNoPriorityAllocation:
             assert profile.power_use(1) == pytest.approx(1.0, rel=1e-7)
             assert profile.power_use(2) == pytest.approx(1.0, rel=1e-7)
             assert not profile.h2_budget_slack
+
+    def test_budgets_bind_to_rounding(self):
+        rng = random.Random(409)
+        worst, bound = 0.0, 0
+        for _ in range(12):
+            sc = scenario(
+                eta=rng.uniform(0.0, 1.9),
+                p0=10.0 ** ((rng.uniform(37.0, 47.0) - 30.0) / 10.0),
+                alpha0=rng.choice((2.0, 2.5, 3.0, 3.5, 4.0, 5.0)),
+            )
+            r_max_2 = single_train_rmax(sc, 2)
+            for fraction in (0.1, 0.4, 0.7, 0.9, 0.99, 1.0):
+                _, _, profile = no_priority_allocation(sc, fraction * r_max_2)
+                if not profile.h2_budget_slack:
+                    bound += 1
+                    for train in (1, 2):
+                        worst = max(worst, abs(profile.power_use(train) - 1.0))
+        assert bound >= 48
+        assert worst <= 1e-11
+
+    def test_steepest_boundary_point_matches_direct_quadrature(self):
+        # At R2 = train 2's solo maximum the boundary is nearly vertical: a
+        # solve that stops at |usage - 1| <= 1e-8 leaves R1 off by 7.7e-5
+        # here, and a 1e-14 relative error in the path-gain integrals still
+        # moves it by about 2.5e-10.
+        p0 = 10.0 ** ((41.16918414140295 - 30.0) / 10.0)
+        sc = scenario(eta=0.9410102672655193, p0=p0, alpha0=4.0)
+        r2 = single_train_rmax(sc, 2)
+        rate_1, _, _ = no_priority_allocation(sc, r2)
+        assert rate_1 == pytest.approx(simpson_r1(sc, r2), abs=1e-9)
+
+    def test_unconverged_solve_raises(self, monkeypatch):
+        monkeypatch.setattr(encounter, "_MAX_ITERATIONS", 2)
+        sc = scenario(eta=0.8)
+        with pytest.raises(ConvergenceError) as info:
+            no_priority_allocation(sc, 0.5 * single_train_rmax(sc, 2))
+        assert isinstance(info.value, ArithmeticError)
 
     def test_split_point_solves_both_budgets_independently(self):
         # rebuild both budget integrals with the trapezoid oracle at the

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -25,33 +26,60 @@ class TestAdaptiveSimpson:
         assert value == pytest.approx(math.sqrt(2 * math.pi), rel=1e-9)
 
 
+def path_gain(base, speed, shift, exponent):
+    return lambda t: (base + (speed * t - shift) ** 2) ** (exponent / 2.0)
+
+
+def geometry_grid():
+    """Seeded (base, speed, shift, exponent, a, b) cases, worst case first."""
+    h0 = 20.0
+    cases = [(1.0 + h0 * h0, 100.0, 5000.0, 5.0, 0.0, 100.0)]
+    rng = random.Random(2017)
+    for d0 in (1.0, 50.0, 200.0):
+        for half_coverage in (100.0, 800.0, 5000.0):
+            for exponent in (2.0, 2.5, 3.0, 3.5, 4.0, 5.0):
+                speed = rng.uniform(30.0, 140.0)
+                eta = rng.uniform(0.0, 2.0)
+                shift = half_coverage * (1.0 - eta)
+                a = -eta * half_coverage / speed
+                b = a + rng.uniform(0.05, 2.0) * half_coverage / speed
+                cases.append((d0 * d0 + h0 * h0, speed, shift, exponent, a, b))
+    return cases
+
+
 class TestCumulativeIntegral:
     def test_matches_direct_quadrature(self):
-        cum = CumulativeIntegral(lambda x: (2.0 + x * x) ** 1.5)
-        direct = adaptive_simpson(lambda x: (2.0 + x * x) ** 1.5, 1.0, 7.0)
-        assert cum.between(1.0, 7.0) == pytest.approx(direct, rel=1e-9)
+        for base, speed, shift, exponent, a, b in geometry_grid():
+            cum = CumulativeIntegral(base, speed, shift, exponent)
+            gain = path_gain(base, speed, shift, exponent)
+            direct = adaptive_simpson(gain, a, b, rel_tol=1e-13)
+            assert cum.between(a, b) == pytest.approx(direct, rel=1e-12), (base, shift, exponent)
+
+    @pytest.mark.parametrize("base, u", [(2900.0, 800.0), (2900.0, -37.5), (401.0, 5000.0)])
+    def test_n3_recurrence(self, base, u):
+        # I_n(u) = u (b + u^2)^(n/2) / (n + 1) + n b / (n + 1) I_{n-2}(u), down to
+        # I_{-1}(u) = asinh(u / sqrt(b)) (Gradshteyn & Ryzhik 2.271)
+        i_m1 = math.asinh(u / math.sqrt(base))
+        i_1 = u * math.sqrt(base + u * u) / 2.0 + base / 2.0 * i_m1
+        i_3 = u * (base + u * u) ** 1.5 / 4.0 + 3.0 * base / 4.0 * i_1
+        speed = 80.0
+        cum = CumulativeIntegral(base, speed, 0.0, 3.0)
+        assert cum.value(u / speed) * speed == pytest.approx(i_3, rel=1e-13)
 
     def test_additive_over_splits(self):
-        cum = CumulativeIntegral(math.cosh)
-        total = cum.between(-2.0, 3.0)
-        assert cum.between(-2.0, 0.5) + cum.between(0.5, 3.0) == pytest.approx(
-            total, rel=1e-12
-        )
-
-    def test_memoized_points_are_consistent(self):
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return x * x
-
-        cum = CumulativeIntegral(f)
-        first = cum.value(4.0)
-        before = len(calls)
-        second = cum.value(4.0)
-        assert second == first
-        assert len(calls) == before
+        cum = CumulativeIntegral(2900.0, 100.0, 800.0, 3.5)
+        total = cum.between(-4.0, 14.0)
+        assert cum.between(-4.0, 6.5) + cum.between(6.5, 14.0) == pytest.approx(total, rel=1e-13)
 
     def test_negative_direction(self):
-        cum = CumulativeIntegral(lambda x: 1.0 + x * x)
-        assert cum.value(-3.0) == pytest.approx(-(3.0 + 9.0), rel=1e-9)
+        cum = CumulativeIntegral(2900.0, 100.0, 800.0, 2.5, origin=3.0)
+        assert cum.value(3.0) == 0.0
+        assert cum.value(-2.0) == cum.between(3.0, -2.0)
+        assert cum.value(-2.0) == pytest.approx(-cum.between(-2.0, 3.0), rel=1e-15)
+
+    def test_same_bits_whatever_was_queried_before(self):
+        fresh = CumulativeIntegral(2900.0, 100.0, 800.0, 3.0).value(7.3)
+        cum = CumulativeIntegral(2900.0, 100.0, 800.0, 3.0)
+        for t in (1.0, 2.5, 4.0, 7.0, 7.5, 9.0, 15.0):
+            cum.value(t)
+        assert cum.value(7.3) == fresh
