@@ -16,7 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from .csvout import row_format, write_csv
-from .geometry import ArrayConfig, coverage_interval, total_coverage
+from .geometry import ArrayConfig, _check_beam_count, beam_index, coverage_interval, total_coverage
 
 PHASE_TABLE_HEADER = ("beam_id", "element_id", "phase_rad")
 TRAVERSE_HEADER = ("t_s", "theta_b_rad", "beam_id", "switch")
@@ -93,12 +93,7 @@ def build_phase_mapper(cfg: ArrayConfig, beam_count: int) -> PhaseMapper:
     ``-(m-1) * k * d * cos(center_i)`` so that the per-element propagation
     phase cancels exactly at the beam center.
     """
-    if beam_count < 1:
-        raise ValueError("beam_count must be >= 1")
-    if beam_count > cfg.element_count:
-        raise ValueError(
-            f"beam_count {beam_count} exceeds element_count {cfg.element_count}"
-        )
+    _check_beam_count(cfg, beam_count)
     centers = _beam_centers(cfg, beam_count)
     k = wavenumber(cfg)
     phases = np.outer(np.arange(cfg.element_count), -k * cfg.spacing * np.cos(centers))
@@ -136,6 +131,16 @@ def array_factor(
     return float(np.abs(np.sum(amplitudes * vec)) ** 2) / total**2
 
 
+def _beam_id(theta_b: float, lo: float, hi: float, beam_count: int, cfg: ArrayConfig) -> int:
+    """``select_beam``'s id for ``lo, hi = coverage_interval(cfg)``, which a
+    traverse computes once for all its fixes."""
+    if theta_b < lo:
+        raise NotYetEnteredError(f"theta_b={theta_b:.6g} precedes coverage start {lo:.6g}")
+    if theta_b >= hi:
+        return 1
+    return beam_index(theta_b, cfg, beam_count)
+
+
 def select_beam(
     theta_b: float, mapper: PhaseMapper, cfg: ArrayConfig
 ) -> tuple[int, np.ndarray]:
@@ -143,19 +148,12 @@ def select_beam(
 
     Angles past the upper coverage edge reset to beam 1 (ready for the
     next station); angles before the lower edge raise, the relay has not
-    entered this station's coverage yet. A direction exactly on a shared
-    cell boundary belongs to the higher-indexed cell.
+    entered this station's coverage yet. Inside coverage the id is
+    ``geometry.beam_index``: a direction exactly on a shared cell boundary
+    belongs to the higher-indexed cell.
     """
-    lo, hi = coverage_interval(cfg)
-    if theta_b < lo:
-        raise NotYetEnteredError(
-            f"theta_b={theta_b:.6g} precedes coverage start {lo:.6g}"
-        )
-    if theta_b >= hi:
-        return 1, mapper.phases[:, 0]
-    cell = total_coverage(cfg) / mapper.beam_count
-    idx = min(int(math.floor((theta_b - lo) / cell)) + 1, mapper.beam_count)
-    return idx, mapper.phases[:, idx - 1]
+    beam = _beam_id(theta_b, *coverage_interval(cfg), mapper.beam_count, cfg)
+    return beam, mapper.phases[:, beam - 1]
 
 
 def simulate_traverse(
@@ -166,23 +164,14 @@ def simulate_traverse(
     ``switched`` marks samples whose beam differs from the previous one;
     an empty trajectory yields an empty log.
     """
+    lo, hi = coverage_interval(cfg)
     samples: list[TraverseSample] = []
-    previous: int | None = None
-    last_t = None
     for t, theta in trajectory:
-        if last_t is not None and t <= last_t:
+        if samples and t <= samples[-1].time:
             raise ValueError("trajectory times must be strictly increasing")
-        last_t = t
-        beam, _ = select_beam(theta, mapper, cfg)
-        samples.append(
-            TraverseSample(
-                time=t,
-                train_angle=theta,
-                beam_id=beam,
-                switched=previous is not None and beam != previous,
-            )
-        )
-        previous = beam
+        beam = _beam_id(theta, lo, hi, mapper.beam_count, cfg)
+        switched = bool(samples) and beam != samples[-1].beam_id
+        samples.append(TraverseSample(time=t, train_angle=theta, beam_id=beam, switched=switched))
     return TraverseLog(samples=tuple(samples))
 
 

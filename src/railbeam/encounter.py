@@ -14,7 +14,7 @@ equality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable
 
@@ -57,19 +57,22 @@ class EncounterScenario:
     beam_weight_2: float
 
     def __post_init__(self):
-        if self.half_coverage <= 0 or self.speed <= 0:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
+        if not (self.half_coverage > 0 and self.speed > 0):
             raise ValueError("half_coverage and speed must be positive")
-        if self.perpendicular_distance <= 0:
+        if not self.perpendicular_distance > 0:
             raise ValueError("perpendicular_distance must be positive")
-        if self.antenna_height < 0:
+        if not self.antenna_height >= 0:
             raise ValueError("antenna_height must be >= 0")
         if not 2.0 <= self.path_loss_exponent <= 5.0:
             raise ValueError("path_loss_exponent must lie in [2, 5]")
-        if self.avg_power <= 0 or self.noise_power <= 0:
+        if not (self.avg_power > 0 and self.noise_power > 0):
             raise ValueError("avg_power and noise_power must be positive")
         if not 0.0 <= self.entry_offset <= 2.0:
             raise ValueError("entry_offset must lie in [0, 2]")
-        if self.beam_weight_1 <= 0 or self.beam_weight_2 <= 0:
+        if not (self.beam_weight_1 > 0 and self.beam_weight_2 > 0):
             raise ValueError("beam weights must be positive")
 
     @property

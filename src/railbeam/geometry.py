@@ -144,11 +144,31 @@ def index_offset(theta_b: float, cfg: ArrayConfig, beam_count: int) -> int:
     return math.floor((2.0 * theta_b - math.pi) / (2.0 * width))
 
 
-def beam_index(theta_b: float, cfg: ArrayConfig, beam_count: int) -> int:
-    """Index of the beam serving direction ``theta_b``, clamped to [1, N].
+def _cell(theta_b: float, cfg: ArrayConfig, beam_count: int) -> tuple[int, float]:
+    """0-based cell holding ``theta_b``, clamped to [0, N-1], and its lower edge.
 
-    Floor arithmetic lands coverage-edge angles on 0 or N+1; those belong
-    to the outermost beams, hence the clamp.
+    The package's one cell grid. Even counts anchor it at broadside (exact
+    at pi/2 since 2*fl(pi/2) == fl(pi)), odd counts at the lower coverage
+    edge; both refine dyadically when the count doubles.
+    """
+    width = beamwidth(cfg, beam_count)
+    if beam_count % 2 == 0:
+        origin, half = math.pi / 2, beam_count // 2
+        raw = index_offset(theta_b, cfg, beam_count) + half
+    else:
+        origin, half = coverage_interval(cfg)[0], 0
+        raw = math.floor((theta_b - origin) / width)
+    # the clamp gives the coverage edges, and rounding past them, to the outer cells
+    cell = 0 if raw < 0 else beam_count - 1 if raw >= beam_count else raw
+    return cell, origin + (cell - half) * width
+
+
+def beam_index(theta_b: float, cfg: ArrayConfig, beam_count: int) -> int:
+    """1-based id of the beam serving direction ``theta_b``, in [1, N].
+
+    Beam b serves cell b-1 (its phase column steers at that cell's
+    midpoint); an angle on a shared cell edge belongs to the higher beam,
+    and the upper coverage edge to beam N.
     """
     _check_beam_count(cfg, beam_count)
     lo, hi = coverage_interval(cfg)
@@ -156,32 +176,7 @@ def beam_index(theta_b: float, cfg: ArrayConfig, beam_count: int) -> int:
         raise OutOfCoverageError(
             f"theta_b={theta_b:.6g} outside coverage [{lo:.6g}, {hi:.6g}]"
         )
-    width = beamwidth(cfg, beam_count)
-    if beam_count % 2 == 0:
-        # broadside-anchored form: exact at theta_b = pi/2 since 2*fl(pi/2) == fl(pi)
-        raw = index_offset(theta_b, cfg, beam_count) + beam_count // 2
-    else:
-        raw = math.floor((theta_b - lo) / width)
-    return min(max(raw, 1), beam_count)
-
-
-def _cell_edges(theta_b: float, cfg: ArrayConfig, beam_count: int) -> tuple[float, float]:
-    """Angular edges of the equal-width cell containing ``theta_b``.
-
-    Even counts anchor the cell grid at broadside, odd counts at the lower
-    coverage edge; the grids coincide for even counts and both refine
-    dyadically when the count doubles.
-    """
-    width = beamwidth(cfg, beam_count)
-    if beam_count % 2 == 0:
-        half = beam_count // 2
-        chi = min(max(index_offset(theta_b, cfg, beam_count), -half), half - 1)
-        low = math.pi / 2 + chi * width
-    else:
-        lo, _ = coverage_interval(cfg)
-        cell = min(max(math.floor((theta_b - lo) / width), 0), beam_count - 1)
-        low = lo + cell * width
-    return low, low + width
+    return _cell(theta_b, cfg, beam_count)[0] + 1
 
 
 def rail_coordinate(theta: float, perpendicular_distance: float) -> float:
@@ -214,7 +209,8 @@ def beam_bounds_on_rail(
     s = math.sin(theta_b)
     if s < 1e-15:
         raise SingularGeometryError("sin(theta_b) vanishes, no rail projection")
-    edge_low, edge_high = _cell_edges(theta_b, cfg, beam_count)
+    _, edge_low = _cell(theta_b, cfg, beam_count)
+    edge_high = edge_low + beamwidth(cfg, beam_count)
     d0 = geo.perpendicular_distance
     left = max((theta_b - edge_low) * d0 / s, 0.0)
     right = max((edge_high - theta_b) * d0 / s, 0.0)

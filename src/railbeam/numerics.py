@@ -5,10 +5,33 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-import numpy as np
 
-# 24-node Gauss-Legendre rule on [-1, 1] as (node, weight) pairs
-_RULE = tuple(zip(*(a.tolist() for a in np.polynomial.legendre.leggauss(24))))
+def _gauss_legendre(n: int) -> tuple[tuple[float, float], ...]:
+    """Even-``n`` Gauss-Legendre rule on [-1, 1] as ascending (node, weight) pairs.
+
+    Newton's method on the Legendre recurrence, from ``cos(pi*(i+3/4)/(n+1/2))``,
+    reaches each positive node in three steps (six are taken); the negative
+    nodes mirror them, so the rule is exactly symmetric.
+    """
+
+    def legendre(x: float) -> tuple[float, float]:  # P_n(x), P_n'(x)
+        p0, p1 = 1.0, x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+    half = []
+    for i in range(n // 2):
+        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(6):
+            p, dp = legendre(x)
+            x -= p / dp
+        _, dp = legendre(x)
+        half.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))
+    return tuple((-x, w) for x, w in half) + tuple(reversed(half))
+
+
+_RULE = _gauss_legendre(24)
 
 
 def adaptive_simpson(

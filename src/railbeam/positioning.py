@@ -68,19 +68,15 @@ def _probability_at(cfg: ArrayConfig, geo: RailGeometry, sigma: float, beam_coun
 
 
 def search_beam_count(
-    cfg: ArrayConfig,
-    geo: RailGeometry,
-    model: PositioningModel,
-    all_integers: bool = False,
+    cfg: ArrayConfig, geo: RailGeometry, model: PositioningModel
 ) -> SearchResult:
     """Largest admissible beam count meeting the success threshold.
 
-    The default candidate set is the doubling sequence 1, 2, 4, ... capped
-    at ``model.max_beam_count``; along it the success probability can only
-    fall as beams split, so the scan stops at the first miss. With
-    ``all_integers`` every count up to the cap is tried instead (oracle
-    mode; no monotonicity holds there). When even a single beam misses the
-    threshold, the result carries ``feasible=False`` with that count.
+    The candidates are the doubling sequence 1, 2, 4, ... capped at
+    ``model.max_beam_count``; along it the success probability can only
+    fall as beams split, so the scan stops at the first miss. When even a
+    single beam misses the threshold, the result carries ``feasible=False``
+    with that count.
     """
     if model.max_beam_count > cfg.element_count:
         raise ValueError(
@@ -88,19 +84,6 @@ def search_beam_count(
             f"{cfg.element_count}"
         )
     sigma = model.error_stddev
-
-    if all_integers:
-        candidates = range(1, model.max_beam_count + 1)
-        best = None
-        best_prob = 0.0
-        for n in candidates:
-            prob = _probability_at(cfg, geo, sigma, n)
-            if prob >= model.threshold:
-                best, best_prob = n, prob
-        if best is None:
-            return SearchResult(1, _probability_at(cfg, geo, sigma, 1), directivity(cfg, 1), False)
-        return SearchResult(best, best_prob, directivity(cfg, best), True)
-
     best = None
     best_prob = 0.0
     n = 1

@@ -1,5 +1,6 @@
 import inspect
 import math
+import random
 
 import numpy as np
 import pytest
@@ -17,7 +18,16 @@ from railbeam.codebook import (
     steering_vector,
     wavenumber,
 )
-from railbeam.geometry import ArrayConfig, coverage_interval, beamwidth, total_coverage
+from railbeam.geometry import (
+    ArrayConfig,
+    RailGeometry,
+    beam_bounds_on_rail,
+    beam_index,
+    beamwidth,
+    coverage_interval,
+    total_coverage,
+    wavelength_from_frequency,
+)
 
 CFG8 = ArrayConfig(element_count=8, spacing=0.0625, wavelength=0.125)
 CFG64 = ArrayConfig(element_count=64, spacing=0.0625, wavelength=0.125)
@@ -202,6 +212,56 @@ class TestSelectBeam:
     def test_no_channel_state_in_signature(self):
         params = set(inspect.signature(select_beam).parameters)
         assert params == {"theta_b", "mapper", "cfg"}
+
+
+class TestGeometryAgreement:
+    """``geometry`` and ``codebook`` name the same beam, and its cell holds the angle."""
+
+    LAMBDA = wavelength_from_frequency(2.4e9)
+    CONFIGS = [
+        CFG128,
+        ArrayConfig(element_count=128, spacing=LAMBDA / 2, wavelength=LAMBDA),
+    ]
+
+    @staticmethod
+    def angles(rng, lo, hi, n):
+        """Uniform angles plus every cell edge and its neighbours, inside [lo, hi)."""
+        thetas = [rng.uniform(lo, hi) for _ in range(20)]
+        for k in range(n + 1):
+            edge = lo + k * (hi - lo) / n
+            thetas += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
+        return [float(t) for t in thetas if lo <= t < hi]
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["dyadic", "2.4GHz"])
+    def test_same_beam_and_its_cell_holds_the_angle(self, cfg):
+        rng = random.Random(31)
+        counts = sorted(set(rng.sample(range(1, 129), 24)) | {2**k for k in range(8)})
+        assert any(n % 2 for n in counts)
+        lo, hi = coverage_interval(cfg)
+        d0 = 50.0
+        for n in counts:
+            mapper = build_phase_mapper(cfg, n)
+            width = beamwidth(cfg, n)
+            tol = 1e-12 * width
+            for theta in self.angles(rng, lo, hi, n):
+                beam = beam_index(theta, cfg, n)
+                assert beam == select_beam(theta, mapper, cfg)[0], (n, theta)
+                if theta == lo:
+                    continue  # beam_bounds_on_rail takes the open interval
+                left, right, _ = beam_bounds_on_rail(RailGeometry(d0, 20.0, theta), cfg, n)
+                s = math.sin(theta)
+                low, high = theta - left * s / d0, theta + right * s / d0
+                # the implied cell is beam b's cell b-1 of the equal grid
+                assert abs(low - (lo + (beam - 1) * width)) <= tol, (n, theta, beam)
+                assert abs(high - low - width) <= tol, (n, theta, beam)
+                assert low - tol <= theta < high + tol
+
+    def test_upper_coverage_edge(self):
+        # hi closes beam N in geometry; the codebook resets to beam 1 there
+        mapper = build_phase_mapper(CFG128, 32)
+        _, hi = coverage_interval(CFG128)
+        assert beam_index(hi, CFG128, 32) == 32
+        assert select_beam(hi, mapper, CFG128)[0] == 1
 
 
 class TestTraverse:

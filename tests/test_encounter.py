@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -422,6 +423,12 @@ class TestScenarioValidation:
             scenario(p0=0.0)
         with pytest.raises(ValueError):
             scenario(weight=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(EncounterScenario)])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(scenario(), **{field: value})
 
     def test_window_properties(self):
         sc = scenario(eta=0.8)

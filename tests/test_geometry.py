@@ -118,11 +118,12 @@ class TestGainWidthIdentity:
 class TestBeamIndex:
     def test_boresight_maps_to_middle(self):
         for n in (2, 8, 64, 128):
-            assert beam_index(math.pi / 2, CANONICAL, n) == n // 2
+            # broadside is the shared edge of the two middle cells: the higher beam
+            assert beam_index(math.pi / 2, CANONICAL, n) == n // 2 + 1
 
     def test_half_width_offset(self):
         theta = math.pi / 2 + beamwidth(CANONICAL, 128) / 2
-        assert beam_index(theta, CANONICAL, 128) == 64
+        assert beam_index(theta, CANONICAL, 128) == 65
         assert index_offset(theta, CANONICAL, 128) == 0
 
     def test_left_edge_clamps_to_one(self):

@@ -1,9 +1,39 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from railbeam.numerics import CumulativeIntegral, adaptive_simpson
+import railbeam
+from railbeam.numerics import _RULE, CumulativeIntegral, adaptive_simpson
+
+
+class TestGaussLegendreRule:
+    def test_even_moments(self):
+        # 24 nodes integrate every polynomial up to degree 47 exactly
+        assert len(_RULE) == 24
+        for k in range(24):
+            exact = 2.0 / (2 * k + 1)
+            got = sum(w * x ** (2 * k) for x, w in _RULE)
+            assert abs(got - exact) <= 2e-14 * exact, k
+
+    def test_symmetric_and_ascending(self):
+        nodes = [x for x, _ in _RULE]
+        assert nodes == sorted(nodes)
+        for (x, w), (y, v) in zip(_RULE, reversed(_RULE)):
+            assert (x, w) == (-y, v)
+
+    def test_import_leaves_numpy_polynomial_out(self):
+        code = "import sys, railbeam; print(any(m.startswith('numpy.polynomial') for m in sys.modules))"
+        # the child imports the same railbeam as this process
+        env = dict(os.environ, PYTHONPATH=str(Path(railbeam.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestAdaptiveSimpson:

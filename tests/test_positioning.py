@@ -76,6 +76,17 @@ def model(sigma=1.0, threshold=0.9, cap=128):
     return PositioningModel(error_stddev=sigma, threshold=threshold, max_beam_count=cap)
 
 
+def exhaustive_scan(cfg, geo, mdl):
+    """Oracle: every count up to the cap; returns the largest one meeting the threshold."""
+    best = None
+    for n in range(1, mdl.max_beam_count + 1):
+        left, right, _ = beam_bounds_on_rail(geo, cfg, n)
+        prob = effective_probability(left, right, mdl.error_stddev)
+        if prob >= mdl.threshold:
+            best = (n, prob)
+    return best
+
+
 def exhaustive_doubling(cfg, geo, mdl):
     """Oracle: evaluate the whole doubling ladder and keep the best count."""
     best = None
@@ -166,13 +177,14 @@ class TestSearch:
         ]
         assert gains_th == sorted(gains_th, reverse=True)
 
-    def test_all_integers_mode_beats_or_matches_doubling(self):
+    def test_exhaustive_scan_beats_or_matches_doubling(self):
         geo = RailGeometry(50.0, 20.0, 1.25)
         mdl = model(sigma=1.0, threshold=0.85, cap=100)
         doubling = search_beam_count(CFG, geo, mdl)
-        every = search_beam_count(CFG, geo, mdl, all_integers=True)
-        assert every.optimal_beam_count >= doubling.optimal_beam_count
-        assert every.achieved_probability >= mdl.threshold
+        assert doubling.feasible
+        every, prob = exhaustive_scan(CFG, geo, mdl)
+        assert every >= doubling.optimal_beam_count
+        assert prob >= mdl.threshold
 
     def test_cap_above_elements_rejected(self):
         geo = RailGeometry(50.0, 20.0, 1.2)
