@@ -32,16 +32,13 @@ from .encounter import (
     EncounterScenario,
     EncounterWindowError,
     InfeasibleRateError,
-    PhasePartition,
     RateRegion,
-    encounter_phases,
     no_priority_allocation,
     priority_rate,
     rate_region,
     single_train_rmax,
     symmetric_rate,
     tfds_baseline,
-    train_distances,
 )
 from .geometry import (
     ArrayConfig,
@@ -81,7 +78,6 @@ __all__ = [
     "NotYetEnteredError",
     "OutOfCoverageError",
     "PhaseMapper",
-    "PhasePartition",
     "PositioningModel",
     "RailGeometry",
     "RateRegion",
@@ -98,7 +94,6 @@ __all__ = [
     "coverage_interval",
     "directivity",
     "effective_probability",
-    "encounter_phases",
     "export_phase_mapper",
     "export_traverse",
     "gaussian_tail",
@@ -116,6 +111,5 @@ __all__ = [
     "symmetric_rate",
     "tfds_baseline",
     "total_coverage",
-    "train_distances",
     "wavelength_from_frequency",
 ]

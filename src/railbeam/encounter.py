@@ -18,6 +18,8 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable
 
+import numpy as np
+
 from .numerics import CumulativeIntegral
 
 LN2 = math.log(2.0)
@@ -102,43 +104,12 @@ class EncounterScenario:
 
 
 @dataclass(frozen=True)
-class PhasePartition:
-    """Encounter window split into solo and shared intervals (seconds)."""
-
-    t1: tuple[float, float]
-    t21: tuple[float, float]
-    t22: tuple[float, float]
-    t3: tuple[float, float]
-    split_parameter: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.split_parameter <= 2.0:
-            raise ValueError("split_parameter must lie in [0, 2]")
-
-
-@dataclass(frozen=True)
 class RateRegion:
     """Sampled boundary (R1, R2) pairs plus the single-train anchors."""
 
     pairs: tuple[tuple[float, float], ...]
     r_max: float
     r_prime_max: float
-
-
-def encounter_phases(sc: EncounterScenario, split_parameter: float) -> PhasePartition:
-    """Partition the window at ``split_parameter`` (same unit as the offset)."""
-    if not 0.0 <= split_parameter <= 2.0 - sc.entry_offset + 1e-12:
-        raise ValueError(
-            f"split_parameter {split_parameter:.6g} outside [0, {2.0 - sc.entry_offset:.6g}]"
-        )
-    t_split = split_parameter * sc.half_coverage / sc.speed
-    return PhasePartition(
-        t1=(sc.entry_time, 0.0),
-        t21=(0.0, t_split),
-        t22=(t_split, sc.overlap_end),
-        t3=(sc.overlap_end, sc.exit_time),
-        split_parameter=split_parameter,
-    )
 
 
 def train_distance(sc: EncounterScenario, train: int, t: float) -> float:
@@ -151,19 +122,6 @@ def train_distance(sc: EncounterScenario, train: int, t: float) -> float:
     return math.sqrt(
         sc.perpendicular_distance**2 + sc.antenna_height**2 + along**2
     )
-
-
-def train_distances(
-    sc: EncounterScenario, t: float
-) -> tuple[float | None, float | None]:
-    """Distances of both trains at time ``t``; None while a train is outside."""
-    if not sc.entry_time <= t <= sc.exit_time:
-        raise EncounterWindowError(
-            f"t={t:.6g} outside encounter window [{sc.entry_time:.6g}, {sc.exit_time:.6g}]"
-        )
-    d1 = train_distance(sc, 1, t) if t <= sc.overlap_end else None
-    d2 = train_distance(sc, 2, t) if t >= 0.0 else None
-    return d1, d2
 
 
 def _integrals(sc: EncounterScenario) -> tuple[CumulativeIntegral, CumulativeIntegral]:
@@ -191,34 +149,38 @@ _MAX_ITERATIONS = 100
 
 
 def _false_position(
-    f: Callable[[float], float], lo: float, hi: float, f_lo: float, f_hi: float, tol: float
-) -> float:
-    """Zero of ``f`` in ``[lo, hi]``, given ``f(lo) = f_lo != 0`` and ``f(hi) = f_hi``.
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: float, hi: float, f_lo, f_hi, tol: float
+) -> np.ndarray:
+    """Zeros in ``[lo, hi]`` of a batch of functions; ``f(x, i)`` evaluates those numbered ``i``.
 
-    Returns ``hi`` when ``f_hi`` is zero or has the sign of ``f_lo``.
-    Otherwise runs Illinois false position: the zero stays bracketed, and
-    an end kept twice in a row has its value halved. Stops once
-    ``|f| <= tol`` or the bracket has shrunk to rounding.
+    ``f_lo != 0`` and ``f_hi`` are their values at the ends; where ``f_hi`` is zero or has
+    ``f_lo``'s sign the zero is ``hi``. Illinois false position: the zero stays bracketed and an
+    end kept twice in a row has its value halved, until ``|f| <= tol`` or the bracket has shrunk
+    to rounding. No element reads another's, so its bits do not depend on the batch.
     """
-    if f_hi == 0.0 or (f_hi > 0.0) == (f_lo > 0.0):
-        return hi
-    kept = 0  # -1: lo survived the last step, +1: hi did
+    out = np.full(f_lo.shape, hi)
+    i = np.flatnonzero((f_hi != 0.0) & ((f_hi > 0.0) != (f_lo > 0.0)))
+    f_lo, f_hi = f_lo[i], f_hi[i]
+    kept = 0.0  # -1: lo survived the last step, +1: hi did
     for _ in range(_MAX_ITERATIONS):
+        if not i.size:
+            return out
         x = lo + (hi - lo) * f_lo / (f_lo - f_hi)
-        fx = f(x)
-        if abs(fx) <= tol or not lo < x < hi:
-            return x
-        if (fx > 0.0) == (f_lo > 0.0):
-            lo, f_lo = x, fx
-            if kept > 0:
-                f_hi *= 0.5
-            kept = 1
-        else:
-            hi, f_hi = x, fx
-            if kept < 0:
-                f_lo *= 0.5
-            kept = -1
-    raise ConvergenceError(f"|f| > {tol:g} after {_MAX_ITERATIONS} steps in [{lo!r}, {hi!r}]")
+        fx = f(x, i)
+        done = (np.abs(fx) <= tol) | ~((lo < x) & (x < hi))
+        out[i[done]] = x[done]
+        same = (fx > 0.0) == (f_lo > 0.0)
+        f_lo = np.where(same, fx, np.where(kept < 0.0, 0.5 * f_lo, f_lo))
+        f_hi = np.where(same, np.where(kept > 0.0, 0.5 * f_hi, f_hi), fx)
+        lo, hi = np.where(same, x, lo), np.where(same, hi, x)
+        kept = np.where(same, 1.0, -1.0)
+        go = ~done
+        i, lo, hi, f_lo, f_hi, kept = i[go], lo[go], hi[go], f_lo[go], f_hi[go], kept[go]
+    if i.size:
+        raise ConvergenceError(
+            f"|f| > {tol:g} after {_MAX_ITERATIONS} steps for {i.size} of {out.size} elements"
+        )
+    return out
 
 
 def single_train_rmax(sc: EncounterScenario, train: int) -> float:
@@ -370,9 +332,59 @@ class AllocationProfile:
         return integral * sc.speed / (2.0 * sc.half_coverage)
 
 
-def no_priority_allocation(
-    sc: EncounterScenario, rate_2: float
-) -> tuple[float, float, AllocationProfile]:
+def _allocate(sc: EncounterScenario, rate_2: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(rate_1, rate_2, split_parameter, h2_budget_slack)`` at each of ``rate_2``.
+
+    ``no_priority_allocation`` for a whole batch: train 2's solo maximum
+    (which clips ``rate_2``) and the fixed window integrals are taken once.
+    """
+    r_max_2 = single_train_rmax(sc, 2)
+    if not np.all(rate_2 >= 0.0):
+        raise InfeasibleRateError("rate_2 must be >= 0")
+    if not np.all(rate_2 <= r_max_2 * (1.0 + 1e-9)):
+        raise InfeasibleRateError(f"rate_2={rate_2.max():.6g} exceeds the solo maximum {r_max_2:.6g}")
+    rate_2 = np.minimum(rate_2, r_max_2)
+    span = 2.0 - sc.entry_offset
+
+    cum1, cum2 = _integrals(sc)
+    w1, w2, noise, budget = sc.beam_weight_1, sc.beam_weight_2, sc.noise_power, sc.power_budget
+    t_ov = sc.overlap_end
+    solo1, full1 = cum1.between([sc.entry_time, 0.0], [0.0, t_ov])
+    full2, solo2 = cum2.between([0.0, t_ov], [t_ov, sc.exit_time])
+    boost2 = 2.0**rate_2
+
+    def rate_1_from_budget(lam, boost2):
+        early1 = cum1.between(0.0, lam * sc.half_coverage / sc.speed)
+        inv = noise * (solo1 + boost2 * early1 + (full1 - early1)) / w1
+        return np.log1p(budget / inv) / LN2
+
+    def h2_usage(lam, rate_1, boost2):
+        late2 = cum2.between(lam * sc.half_coverage / sc.speed, t_ov)
+        weighted = solo2 + (full2 - late2) + 2.0**rate_1 * late2
+        return (boost2 - 1.0) * noise * weighted / (w2 * budget)
+
+    rate_1 = rate_1_from_budget(0.0, boost2)
+    split = np.zeros_like(rate_2)
+    if t_ov <= 0.0:
+        return rate_1, rate_2, split, np.ones(rate_2.shape, dtype=bool)
+    usage_at_zero = h2_usage(0.0, rate_1, boost2)
+    slack = (rate_2 == 0.0) | (usage_at_zero <= 1.0)
+    bound = np.flatnonzero(~slack)
+    boost = boost2[bound]
+
+    def log_usage(lam, i):
+        return np.log(h2_usage(lam, rate_1_from_budget(lam, boost[i]), boost[i]))
+
+    # Train 2's usage at the far end is 1 only at its solo maximum; rounding
+    # may leave it a hair above, and then the split sits at the end.
+    at_end = log_usage(np.full(bound.size, span), np.arange(bound.size))
+    lam = _false_position(log_usage, 0.0, span, np.log(usage_at_zero[bound]), at_end, 1e-14)
+    split[bound] = lam
+    rate_1[bound] = rate_1_from_budget(lam, boost)
+    return rate_1, rate_2, split, slack
+
+
+def no_priority_allocation(sc: EncounterScenario, rate_2: float) -> tuple[float, float, AllocationProfile]:
     """Best rate for train 1 given train 2 sustains ``rate_2``.
 
     Returns ``(rate_1, split_parameter, profile)``. The split and the rate
@@ -383,60 +395,8 @@ def no_priority_allocation(
     its budget goes slack and train 1 keeps its full solo rate (flat
     region boundary).
     """
-    r_max_2 = single_train_rmax(sc, 2)
-    if rate_2 < 0.0:
-        raise InfeasibleRateError("rate_2 must be >= 0")
-    if rate_2 > r_max_2 * (1.0 + 1e-9):
-        raise InfeasibleRateError(
-            f"rate_2={rate_2:.6g} exceeds the solo maximum {r_max_2:.6g}"
-        )
-    rate_2 = min(rate_2, r_max_2)
-    span = 2.0 - sc.entry_offset
-
-    cum1, cum2 = _integrals(sc)
-    w1, w2 = sc.beam_weight_1, sc.beam_weight_2
-    noise = sc.noise_power
-    budget = sc.power_budget
-    t_ov = sc.overlap_end
-    solo1 = cum1.between(sc.entry_time, 0.0)
-    solo2 = cum2.between(t_ov, sc.exit_time)
-    full1 = cum1.between(0.0, t_ov)
-    full2 = cum2.between(0.0, t_ov)
-    boost2 = 2.0**rate_2
-
-    def split_time(lam: float) -> float:
-        return lam * sc.half_coverage / sc.speed
-
-    def rate_1_from_budget(lam: float) -> float:
-        early1 = cum1.between(0.0, split_time(lam))
-        inv = noise * (solo1 + boost2 * early1 + (full1 - early1)) / w1
-        return math.log1p(budget / inv) / LN2
-
-    def h2_usage(lam: float, rate_1: float) -> float:
-        early2 = cum2.between(0.0, split_time(lam))
-        weighted = solo2 + early2 + 2.0**rate_1 * (full2 - early2)
-        return (boost2 - 1.0) * noise * weighted / (w2 * budget)
-
-    if t_ov <= 0.0 or rate_2 == 0.0:
-        rate_1 = rate_1_from_budget(0.0)
-        profile = AllocationProfile(sc, rate_1, rate_2, 0.0, h2_budget_slack=True)
-        return rate_1, 0.0, profile
-
-    rate_at_zero = rate_1_from_budget(0.0)
-    usage_at_zero = h2_usage(0.0, rate_at_zero)
-    if usage_at_zero <= 1.0:
-        profile = AllocationProfile(sc, rate_at_zero, rate_2, 0.0, h2_budget_slack=True)
-        return rate_at_zero, 0.0, profile
-
-    def log_usage(lam: float) -> float:
-        return math.log(h2_usage(lam, rate_1_from_budget(lam)))
-
-    # Train 2's usage at the far end is 1 only at its solo maximum; rounding
-    # may leave it a hair above, and then the split sits at the end.
-    lam = _false_position(log_usage, 0.0, span, math.log(usage_at_zero), log_usage(span), 1e-14)
-    rate_1 = rate_1_from_budget(lam)
-    profile = AllocationProfile(sc, rate_1, rate_2, lam)
-    return rate_1, lam, profile
+    rate_1, rate_2, split, slack = (v[0].item() for v in _allocate(sc, np.array([rate_2], dtype=float)))
+    return rate_1, split, AllocationProfile(sc, rate_1, rate_2, split, h2_budget_slack=slack)
 
 
 def rate_region(sc: EncounterScenario, grid_size: int) -> RateRegion:
@@ -445,7 +405,7 @@ def rate_region(sc: EncounterScenario, grid_size: int) -> RateRegion:
         raise ValueError("grid_size must be >= 2")
     r_max_2 = single_train_rmax(sc, 2)
     r2s = [r_max_2 * j / (grid_size - 1) for j in range(grid_size)]
-    pairs = tuple((no_priority_allocation(sc, r2)[0], r2) for r2 in r2s)
+    pairs = tuple(zip(_allocate(sc, np.array(r2s))[0].tolist(), r2s))
     return RateRegion(pairs=pairs, r_max=r_max_2, r_prime_max=priority_rate(sc, 2))
 
 
@@ -460,11 +420,47 @@ def tfds_baseline(sc: EncounterScenario, grid_size: int) -> RateRegion:
     return RateRegion(pairs=pairs, r_max=r2_max, r_prime_max=r1_max)
 
 
+def _common_rates(sc: EncounterScenario) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Largest rate each train's budget allows when both carry it, against the split.
+
+    Fix the split; let ``x1`` be the share of train 1's window integral before
+    it, ``g2`` the share of train 2's between it and the overlap end, and
+    ``c_i`` train i's solo SNR. With both rates at ``R`` and ``z = 2**R - 1``,
+    train 1's budget binds when ``z*(1 + z*x1) = c1`` and train 2's when
+    ``z*(1 + z*g2) = c2``; each positive root is taken in a form that does not cancel.
+    """
+    cum1, cum2 = _integrals(sc)
+    t_ov = sc.overlap_end
+    whole1, whole2 = cum1.between(sc.entry_time, t_ov), cum2.between(0.0, sc.exit_time)
+    c1 = sc.power_budget * sc.beam_weight_1 / (sc.noise_power * whole1)
+    c2 = sc.power_budget * sc.beam_weight_2 / (sc.noise_power * whole2)
+
+    def rates(lam):
+        t_split = lam * sc.half_coverage / sc.speed
+        x1 = cum1.between(0.0, t_split) / whole1
+        g2 = cum2.between(t_split, t_ov) / whole2
+        z1 = 2.0 * c1 / (1.0 + np.sqrt(1.0 + 4.0 * c1 * x1))
+        z2 = 2.0 * c2 / (1.0 + np.sqrt(1.0 + 4.0 * c2 * g2))
+        return np.log1p(z1) / LN2, np.log1p(z2) / LN2
+
+    return rates
+
+
 def symmetric_rate(sc: EncounterScenario) -> float:
-    """Largest common rate both trains can sustain simultaneously."""
-    hi = min(single_train_rmax(sc, 1), single_train_rmax(sc, 2))
+    """Largest common rate both trains can sustain simultaneously.
 
-    def surplus(rate: float) -> float:
-        return no_priority_allocation(sc, rate)[0] - rate
+    As the split moves later, train 1's common rate falls and train 2's
+    rises: the answer is where they cross, or train 1's at split 0 when
+    train 2's already reaches it there. Both solo maxima cap the result.
+    """
+    rates = _common_rates(sc)
 
-    return _false_position(surplus, 0.0, hi, surplus(0.0), surplus(hi), 1e-13)
+    def gap(lam, _=None):
+        return np.subtract(*rates(lam))
+
+    lam, end = np.zeros(1), np.full(1, 2.0 - sc.entry_offset)
+    gap_at_zero = gap(lam)
+    if gap_at_zero[0] > 0.0:
+        lam = _false_position(gap, 0.0, end[0], gap_at_zero, gap(end), 1e-13)
+    r1, r2 = rates(lam)
+    return min(r1.item(), r2.item(), single_train_rmax(sc, 1), single_train_rmax(sc, 2))

@@ -319,7 +319,17 @@ def test_c10_region_structure():
         step_ok = all(
             boundaries[high][i] >= boundaries[low][i] - 1e-9 for i in range(grid)
         )
-        print(f"    nesting eta {low:g} -> {high:g}: {'ok' if step_ok else 'VIOLATED'}")
+        if step_ok:
+            print(f"    nesting eta {low:g} -> {high:g}: ok")
+        else:
+            losses = [boundaries[low][i] - boundaries[high][i] for i in range(grid)]
+            worst = max(range(grid), key=losses.__getitem__)
+            failing = sum(loss > 1e-9 for loss in losses)
+            print(
+                f"    nesting eta {low:g} -> {high:g} fails by {losses[worst]:.3g} bit/s/Hz"
+                f" at R2 = {r2_grid[worst]:.4g} (grid point {worst} of {grid};"
+                f" {failing} points fail)"
+            )
         nesting_ok = nesting_ok and step_ok
 
     spread = max(boundaries[2.0]) - min(boundaries[2.0])
@@ -327,11 +337,17 @@ def test_c10_region_structure():
     print(f"    eta=2 rectangle spread: {spread:.2e}")
 
     r1_max = single_train_rmax(sc0, 1)
-    sharing_ok = all(
-        boundaries[0.0][i] >= r1_max * (1.0 - r2_grid[i] / r_max_2) - 1e-9
-        for i in range(grid)
-    )
-    print(f"    eta=0 dominates time sharing: {'ok' if sharing_ok else 'VIOLATED'}")
+    sharing = [r1_max * (1.0 - r2_grid[i] / r_max_2) for i in range(grid)]
+    sharing_ok = all(boundaries[0.0][i] >= sharing[i] - 1e-9 for i in range(grid))
+    if sharing_ok:
+        print("    eta=0 dominates time sharing: ok")
+    else:
+        shortfalls = [sharing[i] - boundaries[0.0][i] for i in range(grid)]
+        worst = max(range(grid), key=shortfalls.__getitem__)
+        print(
+            f"    eta=0 falls below time sharing by {shortfalls[worst]:.3g} bit/s/Hz"
+            f" at R2 = {r2_grid[worst]:.4g} (grid point {worst} of {grid})"
+        )
 
     ok = nesting_ok and rectangle_ok and sharing_ok
     report(10, "region boundaries nest with the entry offset", ok,
@@ -353,12 +369,22 @@ def test_c11_symmetric_sweep():
         rates = table[dbm]
         column_ok = all(rates[i] <= rates[i + 1] + 1e-9 for i in range(20))
         print(f"    R0 nondecreasing in eta at {dbm:g} dBm: {'ok' if column_ok else 'VIOLATED'}")
+        for i in range(20):
+            if rates[i] > rates[i + 1] + 1e-9:
+                print(
+                    f"      R0 drops {rates[i] - rates[i + 1]:.3g} bit/s/Hz"
+                    f" between eta {etas[i]:g} and {etas[i + 1]:g}"
+                )
         monotone_ok = monotone_ok and column_ok
 
     ordering_ok = all(
         table[37.0][i] < table[43.0][i] < table[47.0][i] for i in range(21)
     )
     print(f"    R0 ordered across powers at every offset: {'ok' if ordering_ok else 'VIOLATED'}")
+    for i in range(21):
+        column = [table[dbm][i] for dbm in powers_dbm]
+        if not column[0] < column[1] < column[2]:
+            print(f"      at eta {etas[i]:g}: R0 = {', '.join(f'{r:.6g}' for r in column)}")
 
     ok = monotone_ok and ordering_ok
     report(11, "symmetric rate sweep orderings", ok, f"{time.time()-start:.2f}s")

@@ -13,15 +13,15 @@ from railbeam.encounter import (
     EncounterScenario,
     EncounterWindowError,
     InfeasibleRateError,
+    _common_rates,
     _priority_noise_factor,
-    encounter_phases,
     no_priority_allocation,
     priority_rate,
     rate_region,
     single_train_rmax,
     symmetric_rate,
     tfds_baseline,
-    train_distances,
+    train_distance,
 )
 from railbeam.numerics import adaptive_simpson
 
@@ -90,47 +90,22 @@ class TestDistances:
     def test_closest_approach(self):
         sc = scenario(eta=0.4)
         t_close = (1.0 - 0.4) * 800.0 / 100.0
-        d1, _ = train_distances(sc, t_close)
-        assert d1 == pytest.approx(53.85164807134504, rel=1e-12)
+        assert train_distance(sc, 1, t_close) == pytest.approx(53.85164807134504, rel=1e-12)
 
     def test_window_endpoints(self):
         sc = scenario(eta=0.5)
         edge = math.sqrt(50.0**2 + 20.0**2 + 800.0**2)
-        d1, d2 = train_distances(sc, sc.entry_time)
-        assert d1 == pytest.approx(edge, rel=1e-12)
-        assert d2 is None
-        d1, d2 = train_distances(sc, sc.exit_time)
-        assert d1 is None
-        assert d2 == pytest.approx(edge, rel=1e-12)
+        assert train_distance(sc, 1, sc.entry_time) == pytest.approx(edge, rel=1e-12)
+        assert train_distance(sc, 2, sc.exit_time) == pytest.approx(edge, rel=1e-12)
 
-    def test_both_present_during_overlap(self):
-        sc = scenario(eta=0.5)
-        d1, d2 = train_distances(sc, 1.0)
-        assert d1 is not None and d2 is not None
+    def test_trains_meet_midway_at_zero_offset(self):
+        sc = scenario(eta=0.0)
+        for t in (0.0, 3.0, 8.0, 16.0):
+            assert train_distance(sc, 1, t) == train_distance(sc, 2, t)
 
-    def test_outside_window_raises(self):
-        sc = scenario(eta=0.5)
-        with pytest.raises(EncounterWindowError):
-            train_distances(sc, sc.entry_time - 1e-6)
-        with pytest.raises(EncounterWindowError):
-            train_distances(sc, sc.exit_time + 1e-6)
-
-
-class TestPhasePartition:
-    def test_intervals(self):
-        sc = scenario(eta=0.8)
-        phases = encounter_phases(sc, 0.5)
-        assert phases.t1 == (-0.8 * 8.0, 0.0)
-        assert phases.t21 == (0.0, 0.5 * 8.0)
-        assert phases.t22 == (0.5 * 8.0, 1.2 * 8.0)
-        assert phases.t3 == (1.2 * 8.0, 16.0)
-
-    def test_split_bounds(self):
-        sc = scenario(eta=0.8)
+    def test_rejects_bad_train(self):
         with pytest.raises(ValueError):
-            encounter_phases(sc, 1.3)
-        with pytest.raises(ValueError):
-            encounter_phases(sc, -0.1)
+            train_distance(scenario(eta=0.5), 3, 1.0)
 
 
 class TestSingleTrainRate:
@@ -333,6 +308,10 @@ class TestNoPriorityAllocation:
         with pytest.raises(InfeasibleRateError):
             no_priority_allocation(sc, -0.1)
 
+    def test_nan_rate_rejected(self):
+        with pytest.raises(InfeasibleRateError):
+            no_priority_allocation(scenario(eta=0.8), math.nan)
+
     def test_profiles_nonnegative(self):
         sc = scenario(eta=0.8)
         _, _, profile = no_priority_allocation(sc, 2.0)
@@ -367,6 +346,16 @@ class TestRateRegion:
     def test_grid_size_validated(self):
         with pytest.raises(ValueError):
             rate_region(scenario(), 1)
+
+    def test_grid_point_has_the_bits_of_a_lone_solve(self):
+        sc = scenario(eta=0.8, alpha0=3.5)
+        region = rate_region(sc, 1001)
+        slack = 0
+        for r1, r2 in region.pairs:
+            alone, _, profile = no_priority_allocation(sc, r2)
+            assert alone == r1, r2
+            slack += profile.h2_budget_slack
+        assert 0 < slack < 1000
 
 
 class TestTfdsBaseline:
@@ -404,6 +393,42 @@ class TestSymmetricRate:
         assert rate_1 == pytest.approx(r0, abs=1e-6)
         above, _, _ = no_priority_allocation(sc, min(r0 * 1.01, single_train_rmax(sc, 2)))
         assert above < r0 * 1.01
+
+    def test_common_rate_roots_bind_their_budgets(self):
+        # at any split, each train's closed-form common rate spends exactly
+        # that train's budget when both trains carry it
+        rng = random.Random(2024)
+        worst = 0.0
+        for _ in range(40):
+            sc = scenario(
+                eta=rng.uniform(0.0, 1.9),
+                p0=10.0 ** ((rng.uniform(37.0, 47.0) - 30.0) / 10.0),
+                alpha0=rng.choice((2.0, 2.5, 3.0, 3.5, 4.0, 5.0)),
+            )
+            lams = [rng.uniform(0.0, 2.0 - sc.entry_offset) for _ in range(5)]
+            r1s, r2s = _common_rates(sc)(np.array(lams))
+            for lam, r1, r2 in zip(lams, r1s.tolist(), r2s.tolist()):
+                use1 = AllocationProfile(sc, r1, r1, lam).power_use(1)
+                use2 = AllocationProfile(sc, r2, r2, lam).power_use(2)
+                worst = max(worst, abs(use1 - 1.0), abs(use2 - 1.0))
+        assert worst <= 1e-12
+
+    def test_matches_nested_solve(self):
+        # the largest R with no_priority_allocation(R) >= R, by bisection
+        rng = random.Random(77)
+        for _ in range(8):
+            sc = scenario(
+                eta=rng.uniform(0.0, 2.0),
+                p0=10.0 ** ((rng.uniform(37.0, 47.0) - 30.0) / 10.0),
+                alpha0=rng.choice((2.0, 3.0, 4.0)),
+            )
+            lo, hi = 0.0, min(single_train_rmax(sc, 1), single_train_rmax(sc, 2))
+            if no_priority_allocation(sc, hi)[0] >= hi:
+                lo = hi
+            while hi - lo > 1e-14 * hi:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if no_priority_allocation(sc, mid)[0] >= mid else (lo, mid)
+            assert symmetric_rate(sc) == pytest.approx(lo, rel=1e-10)
 
     def test_increases_with_power(self):
         values = [

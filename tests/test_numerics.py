@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import railbeam
@@ -113,3 +114,23 @@ class TestCumulativeIntegral:
         for t in (1.0, 2.5, 4.0, 7.0, 7.5, 9.0, 15.0):
             cum.value(t)
         assert cum.value(7.3) == fresh
+
+    def test_batch_size_leaves_bits_alone(self):
+        # 1001 seeded intervals of one geometry, some needing two or three
+        # panels: each element has the same bits alone, as a scalar and in the batch
+        cum = CumulativeIntegral(1.0, 100.0, 5000.0, 5.0)
+        rng = np.random.default_rng(1001)
+        a = rng.uniform(0.0, 100.0, 1001)
+        b = rng.uniform(0.0, 500.0, 1001)
+        sa, sb = np.arcsinh(100.0 * a - 5000.0), np.arcsinh(100.0 * b - 5000.0)
+        assert set(np.ceil(np.abs(sb - sa) * 6.0 / 60.0).tolist()) == {1.0, 2.0, 3.0}
+        batch = cum.between(a, b)
+        for i in range(1001):
+            alone = cum.between(a[i : i + 1], b[i : i + 1])
+            assert alone.shape == (1,) and alone[0] == batch[i], i
+            assert cum.between(float(a[i]), float(b[i])) == batch[i], i
+
+    def test_scalar_bounds_give_a_float(self):
+        cum = CumulativeIntegral(2900.0, 100.0, 800.0, 3.0)
+        assert type(cum.between(0.0, 4.0)) is float
+        assert cum.between(0.0, np.array([4.0, 5.0])).shape == (2,)
