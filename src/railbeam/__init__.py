@@ -19,7 +19,6 @@ from .codebook import (
     build_phase_mapper,
     export_phase_mapper,
     export_traverse,
-    load_phase_mapper,
     select_beam,
     simulate_traverse,
     steering_vector,
@@ -98,7 +97,6 @@ __all__ = [
     "export_traverse",
     "gaussian_tail",
     "load_config",
-    "load_phase_mapper",
     "no_priority_allocation",
     "priority_rate",
     "rail_coordinate",

@@ -7,16 +7,15 @@ lookup on the station direction; no channel measurements enter anywhere.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .csvout import row_format, write_csv
-from .geometry import ArrayConfig, _check_beam_count, beam_index, coverage_interval, total_coverage
+from .geometry import ArrayConfig, _check_beam_count, _grid, beam_index, coverage_interval, total_coverage
 
 PHASE_TABLE_HEADER = ("beam_id", "element_id", "phase_rad")
 TRAVERSE_HEADER = ("t_s", "theta_b_rad", "beam_id", "switch")
@@ -56,8 +55,8 @@ class SteeringVector:
     wavenumber: float  # rad/m
 
 
-@dataclass(frozen=True)
-class TraverseSample:
+class TraverseSample(NamedTuple):
+    """One fix of a traverse; a tuple, so it equals a plain tuple of the same values."""
     time: float  # s
     train_angle: float  # rad
     beam_id: int
@@ -131,14 +130,22 @@ def array_factor(
     return float(np.abs(np.sum(amplitudes * vec)) ** 2) / total**2
 
 
-def _beam_id(theta_b: float, lo: float, hi: float, beam_count: int, cfg: ArrayConfig) -> int:
-    """``select_beam``'s id for ``lo, hi = coverage_interval(cfg)``, which a
-    traverse computes once for all its fixes."""
-    if theta_b < lo:
-        raise NotYetEnteredError(f"theta_b={theta_b:.6g} precedes coverage start {lo:.6g}")
-    if theta_b >= hi:
-        return 1
-    return beam_index(theta_b, cfg, beam_count)
+def _selector(cfg: ArrayConfig, beam_count: int) -> Callable[[float], int]:
+    """``select_beam``'s rule as ``theta_b -> beam id``; the count check,
+    coverage interval and cell grid are taken once, not per angle."""
+    _, locate = _grid(cfg, beam_count)
+    lo, hi = coverage_interval(cfg)
+
+    def beam_id(theta_b: float) -> int:
+        if lo <= theta_b < hi:
+            return locate(theta_b)[0] + 1
+        if theta_b < lo:
+            raise NotYetEnteredError(f"theta_b={theta_b:.6g} precedes coverage start {lo:.6g}")
+        if theta_b >= hi:
+            return 1
+        return beam_index(theta_b, cfg, beam_count)  # NaN: beam_index's OutOfCoverageError
+
+    return beam_id
 
 
 def select_beam(
@@ -149,10 +156,10 @@ def select_beam(
     Angles past the upper coverage edge reset to beam 1 (ready for the
     next station); angles before the lower edge raise, the relay has not
     entered this station's coverage yet. Inside coverage the id is
-    ``geometry.beam_index``: a direction exactly on a shared cell boundary
-    belongs to the higher-indexed cell.
+    ``geometry.beam_index``'s, from the same cell grid: a direction exactly
+    on a shared cell boundary belongs to the higher-indexed cell.
     """
-    beam = _beam_id(theta_b, *coverage_interval(cfg), mapper.beam_count, cfg)
+    beam = _selector(cfg, mapper.beam_count)(theta_b)
     return beam, mapper.phases[:, beam - 1]
 
 
@@ -164,14 +171,15 @@ def simulate_traverse(
     ``switched`` marks samples whose beam differs from the previous one;
     an empty trajectory yields an empty log.
     """
-    lo, hi = coverage_interval(cfg)
+    beam_id = _selector(cfg, mapper.beam_count)
     samples: list[TraverseSample] = []
+    last = None
     for t, theta in trajectory:
-        if samples and t <= samples[-1].time:
+        if samples and t <= last.time:
             raise ValueError("trajectory times must be strictly increasing")
-        beam = _beam_id(theta, lo, hi, mapper.beam_count, cfg)
-        switched = bool(samples) and beam != samples[-1].beam_id
-        samples.append(TraverseSample(time=t, train_angle=theta, beam_id=beam, switched=switched))
+        beam = beam_id(theta)
+        last = TraverseSample(t, theta, beam, bool(samples) and beam != last.beam_id)
+        samples.append(last)
     return TraverseLog(samples=tuple(samples))
 
 
@@ -187,21 +195,6 @@ def phase_table_text(mapper: PhaseMapper) -> Iterator[str]:
 def export_phase_mapper(mapper: PhaseMapper, path: str | Path) -> None:
     """Write the phase table as beam_id,element_id,phase_rad rows."""
     write_csv(path, PHASE_TABLE_HEADER, phase_table_text(mapper))
-
-
-def load_phase_mapper(path: str | Path, cfg: ArrayConfig) -> PhaseMapper:
-    """Rebuild a mapper from its CSV export; centers come from ``cfg``."""
-    rows: dict[tuple[int, int], float] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            rows[(int(row["beam_id"]), int(row["element_id"]))] = float(row["phase_rad"])
-    n_beams = max(key[0] for key in rows)
-    n_elem = max(key[1] for key in rows)
-    phases = np.empty((n_elem, n_beams))
-    for (i, m), phase in rows.items():
-        phases[m - 1, i - 1] = phase
-    return PhaseMapper(phases=phases, beam_centers=_beam_centers(cfg, n_beams))
 
 
 def traverse_text(log: TraverseLog) -> Iterator[str]:

@@ -319,26 +319,26 @@ class AllocationProfile:
         a, b = _serving_window(sc, train)
         cum = _integrals(sc)[train - 1]
         coeff = sc.noise_power / (_weight(sc, train) * sc.avg_power)
-        t_split = min(max(self._split_time, 0.0), sc.overlap_end)
+        t_ov = sc.overlap_end
+        t_split = min(max(self._split_time, 0.0), t_ov)
         if train == 1:
-            gain = 2.0**self.rate_1 - 1.0
-            plain = cum.between(a, 0.0) + cum.between(t_split, sc.overlap_end)
-            boosted = cum.between(0.0, t_split) * 2.0**self.rate_2
+            gain, boost = 2.0**self.rate_1 - 1.0, 2.0**self.rate_2
+            starts, ends = [a, t_split, 0.0], [0.0, t_ov, t_split]
         else:
-            gain = 2.0**self.rate_2 - 1.0
-            plain = cum.between(sc.overlap_end, b) + cum.between(0.0, t_split)
-            boosted = cum.between(t_split, sc.overlap_end) * 2.0**self.rate_1
-        integral = coeff * gain * (plain + boosted)
+            gain, boost = 2.0**self.rate_2 - 1.0, 2.0**self.rate_1
+            starts, ends = [t_ov, 0.0, t_split], [b, t_split, t_ov]
+        # solo, plain shared and boosted shared parts in one array call (same bits as three)
+        solo, plain, boosted = cum.between(starts, ends).tolist()
+        integral = coeff * gain * (solo + plain + boosted * boost)
         return integral * sc.speed / (2.0 * sc.half_coverage)
 
 
-def _allocate(sc: EncounterScenario, rate_2: np.ndarray) -> tuple[np.ndarray, ...]:
+def _allocate(sc: EncounterScenario, rate_2: np.ndarray, r_max_2: float) -> tuple[np.ndarray, ...]:
     """``(rate_1, rate_2, split_parameter, h2_budget_slack)`` at each of ``rate_2``.
 
-    ``no_priority_allocation`` for a whole batch: train 2's solo maximum
-    (which clips ``rate_2``) and the fixed window integrals are taken once.
+    ``no_priority_allocation`` for a whole batch: the fixed window integrals
+    are taken once. ``r_max_2`` is ``single_train_rmax(sc, 2)``; it clips ``rate_2``.
     """
-    r_max_2 = single_train_rmax(sc, 2)
     if not np.all(rate_2 >= 0.0):
         raise InfeasibleRateError("rate_2 must be >= 0")
     if not np.all(rate_2 <= r_max_2 * (1.0 + 1e-9)):
@@ -395,7 +395,8 @@ def no_priority_allocation(sc: EncounterScenario, rate_2: float) -> tuple[float,
     its budget goes slack and train 1 keeps its full solo rate (flat
     region boundary).
     """
-    rate_1, rate_2, split, slack = (v[0].item() for v in _allocate(sc, np.array([rate_2], dtype=float)))
+    batch = _allocate(sc, np.array([rate_2], dtype=float), single_train_rmax(sc, 2))
+    rate_1, rate_2, split, slack = (v[0].item() for v in batch)
     return rate_1, split, AllocationProfile(sc, rate_1, rate_2, split, h2_budget_slack=slack)
 
 
@@ -405,7 +406,7 @@ def rate_region(sc: EncounterScenario, grid_size: int) -> RateRegion:
         raise ValueError("grid_size must be >= 2")
     r_max_2 = single_train_rmax(sc, 2)
     r2s = [r_max_2 * j / (grid_size - 1) for j in range(grid_size)]
-    pairs = tuple(zip(_allocate(sc, np.array(r2s))[0].tolist(), r2s))
+    pairs = tuple(zip(_allocate(sc, np.array(r2s), r_max_2)[0].tolist(), r2s))
     return RateRegion(pairs=pairs, r_max=r_max_2, r_prime_max=priority_rate(sc, 2))
 
 

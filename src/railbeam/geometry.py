@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 SPEED_OF_LIGHT = 2.998e8  # m/s
 
@@ -144,23 +145,29 @@ def index_offset(theta_b: float, cfg: ArrayConfig, beam_count: int) -> int:
     return math.floor((2.0 * theta_b - math.pi) / (2.0 * width))
 
 
-def _cell(theta_b: float, cfg: ArrayConfig, beam_count: int) -> tuple[int, float]:
-    """0-based cell holding ``theta_b``, clamped to [0, N-1], and its lower edge.
+def _grid(cfg: ArrayConfig, beam_count: int) -> tuple[float, Callable[[float], tuple[int, float]]]:
+    """The package's one cell grid: ``(width, locate)`` for ``beam_count`` cells.
 
-    The package's one cell grid. Even counts anchor it at broadside (exact
-    at pi/2 since 2*fl(pi/2) == fl(pi)), odd counts at the lower coverage
-    edge; both refine dyadically when the count doubles.
+    ``locate(theta)`` gives the 0-based cell holding ``theta``, clamped to
+    [0, N-1], and its lower edge. Even counts anchor the grid at broadside,
+    odd counts at the lower coverage edge; both refine dyadically when the
+    count doubles. Width and origin are taken once per grid, not per angle.
     """
     width = beamwidth(cfg, beam_count)
     if beam_count % 2 == 0:
+        # (theta - pi/2)/w has the bits of index_offset's (2*theta - pi)/(2*w):
+        # fl(pi) == 2*fl(pi/2) and doubling is exact, so broadside is exact too
         origin, half = math.pi / 2, beam_count // 2
-        raw = index_offset(theta_b, cfg, beam_count) + half
     else:
         origin, half = coverage_interval(cfg)[0], 0
-        raw = math.floor((theta_b - origin) / width)
-    # the clamp gives the coverage edges, and rounding past them, to the outer cells
-    cell = 0 if raw < 0 else beam_count - 1 if raw >= beam_count else raw
-    return cell, origin + (cell - half) * width
+
+    def locate(theta: float) -> tuple[int, float]:
+        raw = math.floor((theta - origin) / width) + half
+        # the clamp gives the coverage edges, and rounding past them, to the outer cells
+        cell = 0 if raw < 0 else beam_count - 1 if raw >= beam_count else raw
+        return cell, origin + (cell - half) * width
+
+    return width, locate
 
 
 def beam_index(theta_b: float, cfg: ArrayConfig, beam_count: int) -> int:
@@ -170,13 +177,13 @@ def beam_index(theta_b: float, cfg: ArrayConfig, beam_count: int) -> int:
     midpoint); an angle on a shared cell edge belongs to the higher beam,
     and the upper coverage edge to beam N.
     """
-    _check_beam_count(cfg, beam_count)
+    _, locate = _grid(cfg, beam_count)
     lo, hi = coverage_interval(cfg)
     if not lo <= theta_b <= hi:
         raise OutOfCoverageError(
             f"theta_b={theta_b:.6g} outside coverage [{lo:.6g}, {hi:.6g}]"
         )
-    return _cell(theta_b, cfg, beam_count)[0] + 1
+    return locate(theta_b)[0] + 1
 
 
 def rail_coordinate(theta: float, perpendicular_distance: float) -> float:
@@ -199,7 +206,7 @@ def beam_bounds_on_rail(
     The rail projection ``rail_coordinate`` fixes which edge lies on which
     side of the station.
     """
-    _check_beam_count(cfg, beam_count)
+    width, locate = _grid(cfg, beam_count)
     theta_b = geo.train_angle
     lo, hi = coverage_interval(cfg)
     if not lo < theta_b < hi:
@@ -209,8 +216,8 @@ def beam_bounds_on_rail(
     s = math.sin(theta_b)
     if s < 1e-15:
         raise SingularGeometryError("sin(theta_b) vanishes, no rail projection")
-    _, edge_low = _cell(theta_b, cfg, beam_count)
-    edge_high = edge_low + beamwidth(cfg, beam_count)
+    _, edge_low = locate(theta_b)
+    edge_high = edge_low + width
     d0 = geo.perpendicular_distance
     left = max((theta_b - edge_low) * d0 / s, 0.0)
     right = max((edge_high - theta_b) * d0 / s, 0.0)

@@ -1,3 +1,4 @@
+import csv
 import inspect
 import math
 import random
@@ -8,11 +9,13 @@ from numpy.testing import assert_allclose
 
 from railbeam.codebook import (
     NotYetEnteredError,
+    PhaseMapper,
+    TraverseSample,
+    _beam_centers,
     build_phase_mapper,
     array_factor,
     export_phase_mapper,
     export_traverse,
-    load_phase_mapper,
     select_beam,
     simulate_traverse,
     steering_vector,
@@ -20,6 +23,7 @@ from railbeam.codebook import (
 )
 from railbeam.geometry import (
     ArrayConfig,
+    OutOfCoverageError,
     RailGeometry,
     beam_bounds_on_rail,
     beam_index,
@@ -32,6 +36,20 @@ from railbeam.geometry import (
 CFG8 = ArrayConfig(element_count=8, spacing=0.0625, wavelength=0.125)
 CFG64 = ArrayConfig(element_count=64, spacing=0.0625, wavelength=0.125)
 CFG128 = ArrayConfig(element_count=128, spacing=0.0625, wavelength=0.125)
+
+
+def load_phase_mapper(path, cfg):
+    """Rebuild a mapper from its CSV export; centers come from ``cfg``."""
+    rows = {}
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            rows[(int(row["beam_id"]), int(row["element_id"]))] = float(row["phase_rad"])
+    n_beams = max(beam for beam, _ in rows)
+    n_elem = max(element for _, element in rows)
+    phases = np.empty((n_elem, n_beams))
+    for (beam, element), phase in rows.items():
+        phases[element - 1, beam - 1] = phase
+    return PhaseMapper(phases=phases, beam_centers=_beam_centers(cfg, n_beams))
 
 
 def pattern_argmax(mapper, cfg, beam, resolution=1e-4):
@@ -309,6 +327,61 @@ class TestTraverse:
         edge_gap = np.mean(gaps[:5])
         center_gap = np.mean(gaps[middle - 2 : middle + 3])
         assert center_gap < edge_gap / 1.5
+
+    @staticmethod
+    def edge_angles(cfg, n):
+        """Every cell edge ``lo + k*w`` and the float just below it, ``pi/2 +- k*w``, ``lo`` and ``hi``."""
+        lo, hi = coverage_interval(cfg)
+        width = beamwidth(cfg, n)
+        thetas = [lo, hi]
+        for k in range(n + 1):
+            edge = lo + k * width
+            thetas += [edge, float(np.nextafter(edge, -np.inf))]
+            thetas += [math.pi / 2 + k * width, math.pi / 2 - k * width]
+        return [t for t in thetas if t >= lo]
+
+    @pytest.mark.parametrize("cfg", TestGeometryAgreement.CONFIGS, ids=["dyadic", "2.4GHz"])
+    @pytest.mark.parametrize("n", [1, 3, 7, 32, 64, 128])
+    def test_every_fix_agrees_with_select_beam_and_beam_index(self, cfg, n):
+        mapper = build_phase_mapper(cfg, n)
+        lo, hi = coverage_interval(cfg)
+        thetas = self.edge_angles(cfg, n)
+        assert hi in thetas and any(t > hi for t in thetas)
+        log = simulate_traverse([(0.5 * i, t) for i, t in enumerate(thetas)], mapper, cfg)
+        previous = None
+        for i, (sample, theta) in enumerate(zip(log.samples, thetas)):
+            beam = select_beam(theta, mapper, cfg)[0]
+            assert sample == (0.5 * i, theta, beam, previous is not None and beam != previous)
+            if theta < hi:
+                assert beam == beam_index(theta, cfg, n), (n, theta)
+            previous = beam
+
+    def test_sample_is_a_tuple(self):
+        mapper = build_phase_mapper(CFG8, 8)
+        sample = simulate_traverse([(0.0, 1.2)], mapper, CFG8).samples[0]
+        assert isinstance(sample, TraverseSample)
+        assert sample == (0.0, 1.2, select_beam(1.2, mapper, CFG8)[0], False)
+        with pytest.raises(AttributeError):
+            sample.beam_id = 1
+
+    def test_nan_fix_raises_out_of_coverage(self):
+        mapper = build_phase_mapper(CFG64, 64)
+        lo, hi = coverage_interval(CFG64)
+        with pytest.raises(OutOfCoverageError) as info:
+            simulate_traverse([(0.0, 1.2), (0.1, math.nan)], mapper, CFG64)
+        assert str(info.value) == f"theta_b=nan outside coverage [{lo:.6g}, {hi:.6g}]"
+        with pytest.raises(OutOfCoverageError) as info:
+            select_beam(math.nan, mapper, CFG64)
+        assert str(info.value) == f"theta_b=nan outside coverage [{lo:.6g}, {hi:.6g}]"
+
+    def test_fix_just_below_coverage_raises_not_yet_entered(self):
+        mapper = build_phase_mapper(CFG64, 64)
+        lo, _ = coverage_interval(CFG64)
+        below = float(np.nextafter(lo, -np.inf))
+        for trajectory in ([(0.0, below)], [(0.0, lo), (0.1, below)]):
+            with pytest.raises(NotYetEnteredError) as info:
+                simulate_traverse(trajectory, mapper, CFG64)
+            assert str(info.value) == f"theta_b={below:.6g} precedes coverage start {lo:.6g}"
 
     def test_requires_increasing_times(self):
         mapper = build_phase_mapper(CFG8, 8)

@@ -29,6 +29,24 @@ NOISE = 10.0 ** (-13.4)
 P0 = 10.0 ** 1.3  # 43 dBm
 
 
+def three_call_power_use(profile, train):
+    """``AllocationProfile.power_use`` as three scalar ``between`` calls."""
+    sc = profile.scenario
+    a, b = encounter._serving_window(sc, train)
+    cum = encounter._integrals(sc)[train - 1]
+    coeff = sc.noise_power / (encounter._weight(sc, train) * sc.avg_power)
+    t_split = min(max(profile._split_time, 0.0), sc.overlap_end)
+    if train == 1:
+        gain = 2.0**profile.rate_1 - 1.0
+        plain = cum.between(a, 0.0) + cum.between(t_split, sc.overlap_end)
+        boosted = cum.between(0.0, t_split) * 2.0**profile.rate_2
+    else:
+        gain = 2.0**profile.rate_2 - 1.0
+        plain = cum.between(sc.overlap_end, b) + cum.between(0.0, t_split)
+        boosted = cum.between(t_split, sc.overlap_end) * 2.0**profile.rate_1
+    return coeff * gain * (plain + boosted) * sc.speed / (2.0 * sc.half_coverage)
+
+
 def scenario(eta=0.0, p0=P0, noise=NOISE, weight=128.0, alpha0=3.0):
     """Declared default geometry: d0=50 m, h0=20 m, L=800 m, v0=100 m/s."""
     return EncounterScenario(
@@ -197,6 +215,9 @@ class TestNoPriorityAllocation:
             r_max_2 = single_train_rmax(sc, 2)
             for fraction in (0.1, 0.4, 0.7, 0.9, 0.99, 1.0):
                 _, _, profile = no_priority_allocation(sc, fraction * r_max_2)
+                for train in (1, 2):
+                    # one array call has the bits of three scalar calls
+                    assert profile.power_use(train) == three_call_power_use(profile, train)
                 if not profile.h2_budget_slack:
                     bound += 1
                     for train in (1, 2):

@@ -121,6 +121,22 @@ class TestBeamIndex:
             # broadside is the shared edge of the two middle cells: the higher beam
             assert beam_index(math.pi / 2, CANONICAL, n) == n // 2 + 1
 
+    def test_even_grid_is_index_offset_from_broadside(self):
+        # even counts anchor the cell grid at broadside: away from the clamped
+        # outer edges, beam b's cell b-1 is index_offset + N/2, bit for bit
+        rng = random.Random(17)
+        lo, hi = coverage_interval(CANONICAL)
+        for n in (2, 6, 32, 128):
+            width = beamwidth(CANONICAL, n)
+            thetas = [rng.uniform(lo, hi) for _ in range(500)]
+            for k in range(-n // 2, n // 2 + 1):
+                edge = math.pi / 2 + k * width
+                thetas += [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
+            for theta in thetas:
+                if lo <= theta <= hi:
+                    cell = index_offset(theta, CANONICAL, n) + n // 2
+                    assert beam_index(theta, CANONICAL, n) - 1 == min(max(cell, 0), n - 1), (n, theta)
+
     def test_half_width_offset(self):
         theta = math.pi / 2 + beamwidth(CANONICAL, 128) / 2
         assert beam_index(theta, CANONICAL, 128) == 65

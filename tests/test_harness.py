@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import railbeam
 from railbeam.cli import main
 from railbeam.codebook import build_phase_mapper, export_phase_mapper
 from railbeam.config import load_config
@@ -216,3 +217,10 @@ class TestCli:
         mapper = build_phase_mapper(small_cfg.array_config(), small_cfg.beam_count)
         export_phase_mapper(mapper, tmp_path / "library.csv")
         assert (tmp_path / "library.csv").read_bytes() == (tmp_path / "codebook.csv").read_bytes()
+
+
+class TestPackageExports:
+    def test_all_names_are_unique_and_resolve(self):
+        assert len(railbeam.__all__) == len(set(railbeam.__all__))
+        missing = [name for name in railbeam.__all__ if not hasattr(railbeam, name)]
+        assert missing == []
