@@ -9,7 +9,7 @@ choice carry it in the key name (``theta_b_rad`` vs ``theta_b_deg``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .encounter import EncounterScenario
@@ -43,11 +43,6 @@ def _finite_float(text: str) -> float:
     return value
 
 
-# key -> (parser, description); None default means "derived after parsing"
-_FLOAT = _finite_float
-_INT = int
-
-
 def _float_list(text: str) -> tuple[float, ...]:
     """Comma list (``a,b,c``) or linspace shorthand (``start:stop:count``)."""
     text = text.strip()
@@ -55,63 +50,12 @@ def _float_list(text: str) -> tuple[float, ...]:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError("expected start:stop:count")
-        start, stop, count = _FLOAT(parts[0]), _FLOAT(parts[1]), int(parts[2])
+        start, stop, count = _finite_float(parts[0]), _finite_float(parts[1]), int(parts[2])
         if count < 2:
             raise ValueError("count must be >= 2")
         step = (stop - start) / (count - 1)
         return tuple(start + i * step for i in range(count))
-    return tuple(_FLOAT(p) for p in text.split(",") if p.strip())
-
-
-_KEY_PARSERS = {
-    "carrier_frequency_hz": _FLOAT,
-    "wavelength_m": _FLOAT,
-    "spacing_m": _FLOAT,
-    "element_count": _INT,
-    "beam_count": _INT,
-    "design_constant": _FLOAT,
-    "array_type_factor": _INT,
-    "bs_coverage_angle_rad": _FLOAT,
-    "bs_coverage_angle_deg": _FLOAT,
-    "d0_m": _FLOAT,
-    "h0_m": _FLOAT,
-    "theta_b_rad": _FLOAT,
-    "theta_b_deg": _FLOAT,
-    "sigma_m": _FLOAT,
-    "p_th": _FLOAT,
-    "n_max": _INT,
-    "L_m": _FLOAT,
-    "v0_mps": _FLOAT,
-    "v0_kmh": _FLOAT,
-    "path_loss_exp": _FLOAT,
-    "p0_dbm": _FLOAT,
-    "p0_w": _FLOAT,
-    "noise_power_w": _FLOAT,
-    "noise_power_dbm": _FLOAT,
-    "eta": _FLOAT,
-    "beam_weight_1": _FLOAT,
-    "beam_weight_2": _FLOAT,
-    "theta_grid_size": _INT,
-    "sigma_grid_m": _float_list,
-    "p_th_list": _float_list,
-    "r2_grid_size": _INT,
-    "eta_list": _float_list,
-    "eta_grid_size": _INT,
-    "p0_dbm_list": _float_list,
-    "traverse_dt_s": _FLOAT,
-    "tradeoff_theta_h_min": _FLOAT,
-    "tradeoff_theta_h_max": _FLOAT,
-    "tradeoff_grid_size": _INT,
-    "out_dir": str,
-}
-
-_UNIT_PAIRS = [
-    ("theta_b_rad", "theta_b_deg"),
-    ("bs_coverage_angle_rad", "bs_coverage_angle_deg"),
-    ("v0_mps", "v0_kmh"),
-    ("p0_dbm", "p0_w"),
-    ("noise_power_w", "noise_power_dbm"),
-]
+    return tuple(_finite_float(p) for p in text.split(",") if p.strip())
 
 
 @dataclass
@@ -200,12 +144,19 @@ class ExperimentConfig:
             beam_weight_2=self.beam_weight_2,
         )
 
-    def as_dict(self) -> dict:
-        out = {}
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            out[name] = list(value) if isinstance(value, tuple) else value
-        return out
+
+# alternate key -> (field it sets, conversion); a file may set a field or its alternate
+_ALIASES = {
+    "theta_b_deg": ("theta_b_rad", math.radians),
+    "bs_coverage_angle_deg": ("bs_coverage_angle_rad", math.radians),
+    "v0_kmh": ("v0_mps", kmh_to_mps),
+    "p0_dbm": ("p0_w", dbm_to_watts),
+    "noise_power_dbm": ("noise_power_w", dbm_to_watts),
+}
+# field annotations are strings under ``from __future__ import annotations``
+_TYPE_PARSERS = {"float": _finite_float, "int": int, "tuple[float, ...]": _float_list, "str": str}
+_KEY_PARSER = {f.name: _TYPE_PARSERS[f.type] for f in fields(ExperimentConfig)}
+_KEY_PARSER.update(dict.fromkeys(_ALIASES, _finite_float))
 
 
 def _parse_lines(path: str | Path) -> dict[str, tuple[object, int]]:
@@ -220,12 +171,12 @@ def _parse_lines(path: str | Path) -> dict[str, tuple[object, int]]:
             key, _, text = line.partition("=")
             key = key.strip()
             text = text.strip()
-            if key not in _KEY_PARSERS:
+            if key not in _KEY_PARSER:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
             if key in values:
                 raise ConfigError(f"line {lineno}: duplicate key {key!r}")
             try:
-                values[key] = (_KEY_PARSERS[key](text), lineno)
+                values[key] = (_KEY_PARSER[key](text), lineno)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     return values
@@ -250,9 +201,15 @@ def _check_ranges(cfg: ExperimentConfig) -> None:
     for p in cfg.p_th_list:
         if not 0.0 < p < 1.0:
             raise ConfigError(f"p_th_list entry {p:g} outside (0, 1)")
+    printed: dict[str, float] = {}
     for e in cfg.eta_list:
         if not 0.0 <= e <= 2.0:
             raise ConfigError(f"eta_list entry {e:g} outside [0, 2]")
+        # each entry names its rate-region CSV by ``{eta:g}``; a shared name would overwrite
+        name = f"{e:g}"
+        if name in printed:
+            raise ConfigError(f"eta_list entries {printed[name]!r} and {e!r} share rate_region_eta{name}.csv")
+        printed[name] = e
     for s in cfg.sigma_grid_m:
         if s < 0:
             raise ConfigError(f"sigma_grid_m entry {s:g} must be >= 0")
@@ -265,28 +222,15 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
     """Parse a config file on top of the defaults; None means all defaults."""
     values = _parse_lines(path) if path is not None else {}
 
-    for a, b in _UNIT_PAIRS:
-        if a in values and b in values:
-            line = values[b][1]
-            raise ConfigError(f"line {line}: {a!r} and {b!r} both set, pick one unit")
-
-    cfg = ExperimentConfig()
     converted: dict[str, object] = {}
-    for key, (value, _) in values.items():
-        if key == "theta_b_deg":
-            converted["theta_b_rad"] = math.radians(value)
-        elif key == "bs_coverage_angle_deg":
-            converted["bs_coverage_angle_rad"] = math.radians(value)
-        elif key == "v0_kmh":
-            converted["v0_mps"] = kmh_to_mps(value)
-        elif key == "p0_dbm":
-            converted["p0_w"] = dbm_to_watts(value)
-        elif key == "noise_power_dbm":
-            converted["noise_power_w"] = dbm_to_watts(value)
-        else:
-            converted[key] = value
-    for key, value in converted.items():
-        setattr(cfg, key, value)
+    for key, (value, line) in values.items():
+        if key in _ALIASES:
+            target, convert = _ALIASES[key]
+            if target in values:
+                raise ConfigError(f"line {line}: {target!r} and {key!r} both set, pick one unit")
+            key, value = target, convert(value)
+        converted[key] = value
+    cfg = ExperimentConfig(**converted)
 
     if "wavelength_m" not in converted:
         cfg.wavelength_m = wavelength_from_frequency(cfg.carrier_frequency_hz)

@@ -105,11 +105,9 @@ class EncounterScenario:
 
 @dataclass(frozen=True)
 class RateRegion:
-    """Sampled boundary (R1, R2) pairs plus the single-train anchors."""
+    """Sampled boundary (R1, R2) pairs."""
 
     pairs: tuple[tuple[float, float], ...]
-    r_max: float
-    r_prime_max: float
 
 
 def train_distance(sc: EncounterScenario, train: int, t: float) -> float:
@@ -407,7 +405,7 @@ def rate_region(sc: EncounterScenario, grid_size: int) -> RateRegion:
     r_max_2 = single_train_rmax(sc, 2)
     r2s = [r_max_2 * j / (grid_size - 1) for j in range(grid_size)]
     pairs = tuple(zip(_allocate(sc, np.array(r2s), r_max_2)[0].tolist(), r2s))
-    return RateRegion(pairs=pairs, r_max=r_max_2, r_prime_max=priority_rate(sc, 2))
+    return RateRegion(pairs=pairs)
 
 
 def tfds_baseline(sc: EncounterScenario, grid_size: int) -> RateRegion:
@@ -418,7 +416,7 @@ def tfds_baseline(sc: EncounterScenario, grid_size: int) -> RateRegion:
     r2_max = single_train_rmax(sc, 2)
     shares = [j / (grid_size - 1) for j in range(grid_size)]
     pairs = tuple((share * r1_max, (1.0 - share) * r2_max) for share in shares)
-    return RateRegion(pairs=pairs, r_max=r2_max, r_prime_max=r1_max)
+    return RateRegion(pairs=pairs)
 
 
 def _common_rates(sc: EncounterScenario) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:

@@ -188,7 +188,7 @@ def run_experiment(
         experiment=experiment,
         version=__version__,
         generated_at=datetime.now(timezone.utc).isoformat(),
-        config=cfg.as_dict(),
+        config=asdict(cfg),
         files=counts,
         notes=tuple(notes),
     )

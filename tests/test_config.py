@@ -1,9 +1,12 @@
 import math
+import re
+from dataclasses import fields
 
 import pytest
 
 from railbeam.config import (
     ConfigError,
+    ExperimentConfig,
     dbm_to_watts,
     kmh_to_mps,
     load_config,
@@ -60,8 +63,23 @@ class TestUnits:
         assert cfg.theta_b_rad == pytest.approx(math.pi / 2, rel=1e-15)
 
     def test_unit_pair_conflict(self, tmp_path):
-        with pytest.raises(ConfigError, match="pick one unit"):
+        with pytest.raises(ConfigError, match="line 1: 'p0_w' and 'p0_dbm' both set, pick one unit"):
             load_config(write(tmp_path, "p0_dbm = 43\np0_w = 20\n"))
+
+    @pytest.mark.parametrize(
+        "field_key, alternate",
+        [
+            ("theta_b_rad", "theta_b_deg"),
+            ("bs_coverage_angle_rad", "bs_coverage_angle_deg"),
+            ("v0_mps", "v0_kmh"),
+            ("p0_w", "p0_dbm"),
+            ("noise_power_w", "noise_power_dbm"),
+        ],
+    )
+    def test_unit_pair_conflict_cites_alternate_line(self, tmp_path, field_key, alternate):
+        text = f"{field_key} = 1\n{alternate} = 1\neta = 1\n"
+        with pytest.raises(ConfigError, match=f"^line 2: '{field_key}' and '{alternate}' both set"):
+            load_config(write(tmp_path, text))
 
     def test_noise_dbm(self, tmp_path):
         cfg = load_config(write(tmp_path, "noise_power_dbm = -104\n"))
@@ -96,6 +114,14 @@ class TestRejections:
     def test_seed_is_an_unknown_key(self, tmp_path):
         with pytest.raises(ConfigError, match="line 1.*unknown key 'seed'"):
             load_config(write(tmp_path, "seed = 42\n"))
+
+    @pytest.mark.parametrize("etas", ["0.8, 0.8", "0, 0.8, 0.8000001"])
+    def test_eta_list_entries_sharing_a_csv_name(self, tmp_path, etas):
+        # both entries print as 0.8 under {eta:g}, so one rate_region CSV would overwrite the other
+        first, second = [float(e) for e in etas.split(",")][-2:]
+        message = f"eta_list entries {first!r} and {second!r} share rate_region_eta0.8.csv"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(write(tmp_path, f"eta_list = {etas}\n"))
 
     def test_duplicate_key(self, tmp_path):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -143,3 +169,72 @@ class TestGridsAndComments:
         assert model.max_beam_count == 128
         array_cfg = cfg.array_config()
         assert array_cfg.element_count == 128
+
+
+# One non-default value per ExperimentConfig field, as config text; every range check holds.
+EVERY_FIELD = {
+    "carrier_frequency_hz": ("3.5e9", 3.5e9),
+    "wavelength_m": ("0.1", 0.1),
+    "spacing_m": ("0.04", 0.04),
+    "element_count": ("64", 64),
+    "beam_count": ("48", 48),
+    "design_constant": ("2.5", 2.5),
+    "array_type_factor": ("4", 4),
+    "bs_coverage_angle_rad": ("0.9", 0.9),
+    "d0_m": ("40", 40.0),
+    "h0_m": ("15", 15.0),
+    "theta_b_rad": ("1.1", 1.1),
+    "sigma_m": ("2.5", 2.5),
+    "p_th": ("0.85", 0.85),
+    "n_max": ("32", 32),
+    "L_m": ("600", 600.0),
+    "v0_mps": ("80", 80.0),
+    "path_loss_exp": ("3.5", 3.5),
+    "p0_w": ("10", 10.0),
+    "noise_power_w": ("1e-13", 1e-13),
+    "eta": ("0.5", 0.5),
+    "beam_weight_1": ("50", 50.0),
+    "beam_weight_2": ("60", 60.0),
+    "theta_grid_size": ("11", 11),
+    "sigma_grid_m": ("0.25, 0.5", (0.25, 0.5)),
+    "p_th_list": ("0.75, 0.95", (0.75, 0.95)),
+    "r2_grid_size": ("7", 7),
+    "eta_list": ("0.25, 1.75", (0.25, 1.75)),
+    "eta_grid_size": ("5", 5),
+    "p0_dbm_list": ("40, 44", (40.0, 44.0)),
+    "traverse_dt_s": ("0.005", 0.005),
+    "tradeoff_theta_h_min": ("0.02", 0.02),
+    "tradeoff_theta_h_max": ("3", 3.0),
+    "tradeoff_grid_size": ("50", 50),
+    "out_dir": ("results", "results"),
+}
+# alternate key -> (its text, the field it sets, the value it must set)
+ALTERNATES = {
+    "theta_b_deg": ("57", "theta_b_rad", math.radians(57.0)),
+    "bs_coverage_angle_deg": ("50", "bs_coverage_angle_rad", math.radians(50.0)),
+    "v0_kmh": ("288", "v0_mps", kmh_to_mps(288.0)),
+    "p0_dbm": ("40", "p0_w", dbm_to_watts(40.0)),
+    "noise_power_dbm": ("-100", "noise_power_w", dbm_to_watts(-100.0)),
+}
+
+
+class TestEveryKey:
+    def test_every_field_loads_to_its_value(self, tmp_path):
+        assert set(EVERY_FIELD) == {f.name for f in fields(ExperimentConfig)}
+        defaults = load_config(None)
+        for name, (_, value) in EVERY_FIELD.items():
+            assert value != getattr(defaults, name), name
+        text = "".join(f"{name} = {text}\n" for name, (text, _) in EVERY_FIELD.items())
+        cfg = load_config(write(tmp_path, text))
+        assert cfg == ExperimentConfig(**{name: value for name, (_, value) in EVERY_FIELD.items()})
+        for name, (_, value) in EVERY_FIELD.items():
+            assert type(getattr(cfg, name)) is type(value), name
+
+    def test_every_alternate_sets_its_field_through_its_conversion(self, tmp_path):
+        replaced = {field_key for _, field_key, _ in ALTERNATES.values()}
+        lines = [f"{name} = {text}\n" for name, (text, _) in EVERY_FIELD.items() if name not in replaced]
+        lines += [f"{key} = {text}\n" for key, (text, _, _) in ALTERNATES.items()]
+        cfg = load_config(write(tmp_path, "".join(lines)))
+        expected = {name: value for name, (_, value) in EVERY_FIELD.items()}
+        expected.update({field_key: value for _, field_key, value in ALTERNATES.values()})
+        assert cfg == ExperimentConfig(**expected)

@@ -349,8 +349,7 @@ class TestRateRegion:
         assert r1s == sorted(r1s, reverse=True)
         assert region.pairs[0][0] == pytest.approx(single_train_rmax(sc, 1), rel=1e-12)
         assert region.pairs[0][1] == 0.0
-        assert region.pairs[-1][1] == pytest.approx(region.r_max, rel=1e-15)
-        assert region.r_prime_max == pytest.approx(priority_rate(sc, 2), rel=1e-12)
+        assert region.pairs[-1][1] == pytest.approx(single_train_rmax(sc, 2), rel=1e-15)
 
     def test_no_overlap_gives_rectangle(self):
         region = rate_region(scenario(eta=2.0), 7)
