@@ -146,34 +146,43 @@ def _weight(sc: EncounterScenario, train: int) -> float:
 _MAX_ITERATIONS = 100
 
 
-def _false_position(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: float, hi: float, f_lo, f_hi, tol: float
+def _newton(
+    f: Callable[[np.ndarray, np.ndarray], tuple], lo: float, hi: float, f_lo, f_hi, tol: float
 ) -> np.ndarray:
-    """Zeros in ``[lo, hi]`` of a batch of functions; ``f(x, i)`` evaluates those numbered ``i``.
+    """Zeros in ``[lo, hi]`` of a batch of functions; ``f(x, i)`` is values and slopes of those in ``i``.
 
     ``f_lo != 0`` and ``f_hi`` are their values at the ends; where ``f_hi`` is zero or has
-    ``f_lo``'s sign the zero is ``hi``. Illinois false position: the zero stays bracketed and an
-    end kept twice in a row has its value halved, until ``|f| <= tol`` or the bracket has shrunk
-    to rounding. No element reads another's, so its bits do not depend on the batch.
+    ``f_lo``'s sign the zero is ``hi``. Safeguarded Newton from the false-position point of the
+    ends: after a step that failed to halve ``|f|`` (a cycle, or ``f`` flat on its rounding floor)
+    it leaps 16 times that step's length instead, and it bisects where a step would leave the
+    bracket. It stops at ``|f| <= tol`` or once the bracket has shrunk to rounding. No element
+    reads another's.
     """
     out = np.full(f_lo.shape, hi)
     i = np.flatnonzero((f_hi != 0.0) & ((f_hi > 0.0) != (f_lo > 0.0)))
     f_lo, f_hi = f_lo[i], f_hi[i]
-    kept = 0.0  # -1: lo survived the last step, +1: hi did
+    x = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+    lo, hi, positive = np.full(i.size, lo), np.full(i.size, hi), f_lo > 0.0
+    f_from, last = np.full(i.size, np.inf), lo  # |f| (inf if it bisected) and x at the last step
     for _ in range(_MAX_ITERATIONS):
         if not i.size:
             return out
-        x = lo + (hi - lo) * f_lo / (f_lo - f_hi)
-        fx = f(x, i)
-        done = (np.abs(fx) <= tol) | ~((lo < x) & (x < hi))
+        fx, slope = f(x, i)
+        size = np.abs(fx)
+        done = (size <= tol) | ~((lo < x) & (x < hi))
         out[i[done]] = x[done]
-        same = (fx > 0.0) == (f_lo > 0.0)
-        f_lo = np.where(same, fx, np.where(kept < 0.0, 0.5 * f_lo, f_lo))
-        f_hi = np.where(same, np.where(kept > 0.0, 0.5 * f_hi, f_hi), fx)
+        same = (fx > 0.0) == positive
         lo, hi = np.where(same, x, lo), np.where(same, hi, x)
-        kept = np.where(same, 1.0, -1.0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = fx / slope
+        newton = x - step
+        halved = (size <= 0.5 * f_from) & (newton != x)
+        guess = np.where(halved, newton, x - np.copysign(16.0 * np.abs(x - last), step))
+        ok = (lo < guess) & (guess < hi)
+        f_from, last = np.where(ok, size, np.inf), x
+        x = np.where(ok, guess, 0.5 * (lo + hi))
         go = ~done
-        i, lo, hi, f_lo, f_hi, kept = i[go], lo[go], hi[go], f_lo[go], f_hi[go], kept[go]
+        i, x, lo, hi, positive, f_from, last = (v[go] for v in (i, x, lo, hi, positive, f_from, last))
     if i.size:
         raise ConvergenceError(
             f"|f| > {tol:g} after {_MAX_ITERATIONS} steps for {i.size} of {out.size} elements"
@@ -351,34 +360,41 @@ def _allocate(sc: EncounterScenario, rate_2: np.ndarray, r_max_2: float) -> tupl
     full2, solo2 = cum2.between([0.0, t_ov], [t_ov, sc.exit_time])
     boost2 = 2.0**rate_2
 
-    def rate_1_from_budget(lam, boost2):
-        early1 = cum1.between(0.0, lam * sc.half_coverage / sc.speed)
-        inv = noise * (solo1 + boost2 * early1 + (full1 - early1)) / w1
-        return np.log1p(budget / inv) / LN2
+    def inverse_1(t, boost2):
+        early1 = cum1.between(0.0, t)
+        return noise * (solo1 + boost2 * early1 + (full1 - early1)) / w1
 
-    def h2_usage(lam, rate_1, boost2):
-        late2 = cum2.between(lam * sc.half_coverage / sc.speed, t_ov)
+    def h2_usage(t, rate_1, boost2):
+        late2 = cum2.between(t, t_ov)
         weighted = solo2 + (full2 - late2) + 2.0**rate_1 * late2
-        return (boost2 - 1.0) * noise * weighted / (w2 * budget)
+        return (boost2 - 1.0) * noise * weighted / (w2 * budget), late2, weighted
 
-    rate_1 = rate_1_from_budget(0.0, boost2)
+    rate_1 = np.log1p(budget / inverse_1(0.0, boost2)) / LN2
     split = np.zeros_like(rate_2)
     if t_ov <= 0.0:
         return rate_1, rate_2, split, np.ones(rate_2.shape, dtype=bool)
-    usage_at_zero = h2_usage(0.0, rate_1, boost2)
+    usage_at_zero = h2_usage(0.0, rate_1, boost2)[0]
     slack = (rate_2 == 0.0) | (usage_at_zero <= 1.0)
     bound = np.flatnonzero(~slack)
     boost = boost2[bound]
 
     def log_usage(lam, i):
-        return np.log(h2_usage(lam, rate_1_from_budget(lam, boost[i]), boost[i]))
+        # d log usage/dt = (ds*late2 - s*g2) / weighted with s = budget/inv = 2**rate_1 - 1,
+        # ds = -s * dinv/inv and dinv = noise*(boost - 1)*g1/w1, where g_i is train i's path
+        # gain at the split t: no integral is taken. dt/dlam = L/v.
+        t, b = lam * sc.half_coverage / sc.speed, boost[i]
+        inv = inverse_1(t, b)
+        usage, late2, weighted = h2_usage(t, np.log1p(budget / inv) / LN2, b)
+        d_inv = noise * (b - 1.0) * cum1.gain(t) / w1
+        slope = -budget / inv * (d_inv / inv * late2 + cum2.gain(t)) / weighted
+        return np.log(usage), slope * sc.half_coverage / sc.speed
 
     # Train 2's usage at the far end is 1 only at its solo maximum; rounding
     # may leave it a hair above, and then the split sits at the end.
-    at_end = log_usage(np.full(bound.size, span), np.arange(bound.size))
-    lam = _false_position(log_usage, 0.0, span, np.log(usage_at_zero[bound]), at_end, 1e-14)
+    at_end = log_usage(span, np.arange(bound.size))[0]
+    lam = _newton(log_usage, 0.0, span, np.log(usage_at_zero[bound]), at_end, 1e-14)
     split[bound] = lam
-    rate_1[bound] = rate_1_from_budget(lam, boost)
+    rate_1[bound] = np.log1p(budget / inverse_1(lam * sc.half_coverage / sc.speed, boost)) / LN2
     return rate_1, rate_2, split, slack
 
 
@@ -386,12 +402,12 @@ def no_priority_allocation(sc: EncounterScenario, rate_2: float) -> tuple[float,
     """Best rate for train 1 given train 2 sustains ``rate_2``.
 
     Returns ``(rate_1, split_parameter, profile)``. The split and the rate
-    solve both average-power equalities simultaneously: a bracketed root
-    search moves the split while each trial inverts train 1's power
-    equality in closed form and checks train 2's budget. Below the
-    threshold where train 2 can hold its rate decoded-first everywhere,
-    its budget goes slack and train 1 keeps its full solo rate (flat
-    region boundary).
+    solve both average-power equalities simultaneously: each trial split
+    inverts train 1's power equality in closed form, and a safeguarded
+    Newton search on train 2's log usage, with its slope from the path
+    gains at the split, moves the split. Below the threshold where train 2
+    can hold its rate decoded-first everywhere, its budget goes slack and
+    train 1 keeps its full solo rate (flat region boundary).
     """
     batch = _allocate(sc, np.array([rate_2], dtype=float), single_train_rmax(sc, 2))
     rate_1, rate_2, split, slack = (v[0].item() for v in batch)
@@ -419,7 +435,7 @@ def tfds_baseline(sc: EncounterScenario, grid_size: int) -> RateRegion:
     return RateRegion(pairs=pairs)
 
 
-def _common_rates(sc: EncounterScenario) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+def _common_rates(sc: EncounterScenario) -> Callable[[np.ndarray], tuple[np.ndarray, ...]]:
     """Largest rate each train's budget allows when both carry it, against the split.
 
     Fix the split; let ``x1`` be the share of train 1's window integral before
@@ -427,6 +443,8 @@ def _common_rates(sc: EncounterScenario) -> Callable[[np.ndarray], tuple[np.ndar
     ``c_i`` train i's solo SNR. With both rates at ``R`` and ``z = 2**R - 1``,
     train 1's budget binds when ``z*(1 + z*x1) = c1`` and train 2's when
     ``z*(1 + z*g2) = c2``; each positive root is taken in a form that does not cancel.
+    ``rates(lam)`` gives both rates and the slope of ``R1 - R2`` in the split, from
+    ``dz/dx = -z**2/(1 + 2*z*x)`` and the path gains at the split.
     """
     cum1, cum2 = _integrals(sc)
     t_ov = sc.overlap_end
@@ -440,7 +458,10 @@ def _common_rates(sc: EncounterScenario) -> Callable[[np.ndarray], tuple[np.ndar
         g2 = cum2.between(t_split, t_ov) / whole2
         z1 = 2.0 * c1 / (1.0 + np.sqrt(1.0 + 4.0 * c1 * x1))
         z2 = 2.0 * c2 / (1.0 + np.sqrt(1.0 + 4.0 * c2 * g2))
-        return np.log1p(z1) / LN2, np.log1p(z2) / LN2
+        # dR/dlam = dz/dx * dx/dlam / ((1+z) ln 2); dx1/dlam = g1/whole1 * L/v, dg2/dlam = -g2/whole2 * L/v
+        d1 = z1**2 / (1.0 + 2.0 * z1 * x1) * cum1.gain(t_split) / (whole1 * (1.0 + z1))
+        d2 = z2**2 / (1.0 + 2.0 * z2 * g2) * cum2.gain(t_split) / (whole2 * (1.0 + z2))
+        return np.log1p(z1) / LN2, np.log1p(z2) / LN2, -(d1 + d2) * sc.half_coverage / (sc.speed * LN2)
 
     return rates
 
@@ -449,17 +470,20 @@ def symmetric_rate(sc: EncounterScenario) -> float:
     """Largest common rate both trains can sustain simultaneously.
 
     As the split moves later, train 1's common rate falls and train 2's
-    rises: the answer is where they cross, or train 1's at split 0 when
-    train 2's already reaches it there. Both solo maxima cap the result.
+    rises: the answer is where they cross, found by the same safeguarded
+    Newton search as the region with the gap's closed-form slope, or train
+    1's at split 0 when train 2's already reaches it there. Both solo maxima
+    cap the result.
     """
     rates = _common_rates(sc)
 
     def gap(lam, _=None):
-        return np.subtract(*rates(lam))
+        r1, r2, slope = rates(lam)
+        return r1 - r2, slope
 
     lam, end = np.zeros(1), np.full(1, 2.0 - sc.entry_offset)
-    gap_at_zero = gap(lam)
+    gap_at_zero = gap(lam)[0]
     if gap_at_zero[0] > 0.0:
-        lam = _false_position(gap, 0.0, end[0], gap_at_zero, gap(end), 1e-13)
-    r1, r2 = rates(lam)
+        lam = _newton(gap, 0.0, end[0], gap_at_zero, gap(end)[0], 1e-13)
+    r1, r2, _ = rates(lam)
     return min(r1.item(), r2.item(), single_train_rmax(sc, 1), single_train_rmax(sc, 2))

@@ -96,6 +96,7 @@ class CumulativeIntegral:
         inv_root = 1.0 / math.sqrt(base)
         self._slope, self._offset = speed * inv_root, shift * inv_root
         self._weights = _WEIGHTS * (base ** (0.5 * self._power) / speed)
+        self._scale = base ** (0.5 * exponent)
 
     def value(self, t: float) -> float:
         """Integral from ``origin`` to ``t``."""
@@ -109,14 +110,19 @@ class CumulativeIntegral:
         BLAS ``@``: an element's bits do not depend on the rest of the batch.
         """
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        sa = np.arcsinh(np.atleast_1d(a) * self._slope - self._offset)
-        width = np.arcsinh(np.atleast_1d(b) * self._slope - self._offset) - sa
+        sa = np.arcsinh(a * self._slope - self._offset)
+        width = np.arcsinh(b * self._slope - self._offset) - sa
         panels = np.maximum(1.0, np.ceil(np.abs(width) * (self._power / 60.0)))
         half = 0.5 * width / panels
-        total = 0.0
+        total = 0.0  # an empty batch has no panel
         for k in range(int(panels.max(initial=0.0))):
             nodes = sa[..., None] + half[..., None] * (2 * k + 1 + _NODES)
             panel = (np.cosh(nodes) ** self._power * self._weights).sum(axis=-1)
-            total = total + np.where(k < panels, panel, 0.0)
+            total = total + np.where(k < panels, panel, 0.0) if k else panel
         out = total * half
         return out if a.ndim or b.ndim else out.item()
+
+    def gain(self, t):
+        """The path gain at ``t``: the slope of ``between(a, t)`` in ``t``."""
+        u = t * self._slope - self._offset
+        return self._scale * (1.0 + u * u) ** (0.5 * self._power - 0.5)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from railbeam import encounter
+from railbeam.config import load_config
 from railbeam.encounter import (
     AllocationProfile,
     ConvergenceError,
@@ -23,7 +24,7 @@ from railbeam.encounter import (
     tfds_baseline,
     train_distance,
 )
-from railbeam.numerics import adaptive_simpson
+from railbeam.numerics import CumulativeIntegral, adaptive_simpson
 
 NOISE = 10.0 ** (-13.4)
 P0 = 10.0 ** 1.3  # 43 dBm
@@ -102,6 +103,47 @@ def simpson_r1(sc, r2):
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if usage_2(mid) > 1.0 else (lo, mid)
     return rate_1(0.5 * (lo + hi))
+
+
+def steepest_scenario():
+    """The scenario where the boundary turns most steeply at train 2's solo maximum."""
+    p0 = 10.0 ** ((41.16918414140295 - 30.0) / 10.0)
+    return scenario(eta=0.9410102672655193, p0=p0, alpha0=4.0)
+
+
+def seeded_scenarios(seed, count):
+    """``count`` seeded scenarios over every path-loss exponent, each with an R2 in its range."""
+    rng = random.Random(seed)
+    for j in range(count):
+        sc = scenario(
+            eta=rng.uniform(0.0, 1.9),
+            p0=10.0 ** ((rng.uniform(37.0, 47.0) - 30.0) / 10.0),
+            alpha0=(2.0, 2.5, 3.0, 3.5, 4.0, 5.0)[j % 6],
+        )
+        yield sc, rng.uniform(0.1, 0.99) * single_train_rmax(sc, 2)
+
+
+@pytest.fixture
+def hook_search(monkeypatch):
+    """``hook_search(wrap)``: each root search then runs on ``wrap(f, n)`` for its ``n`` functions."""
+    newton = encounter._newton
+
+    def install(wrap):
+        def hooked(f, lo, hi, f_lo, f_hi, tol):
+            return newton(wrap(f, f_lo.size), lo, hi, f_lo, f_hi, tol)
+
+        monkeypatch.setattr(encounter, "_newton", hooked)
+
+    return install
+
+
+def central_difference(f, x, h=1e-6):
+    return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+# The difference quotient carries the rounding of values up to ~30 (bits, or
+# log usage) over h = 1e-6, about 7e-9, beside its relative match.
+SLOPE_ABS = 1e-8
 
 
 class TestDistances:
@@ -230,8 +272,7 @@ class TestNoPriorityAllocation:
         # solve that stops at |usage - 1| <= 1e-8 leaves R1 off by 7.7e-5
         # here, and a 1e-14 relative error in the path-gain integrals still
         # moves it by about 2.5e-10.
-        p0 = 10.0 ** ((41.16918414140295 - 30.0) / 10.0)
-        sc = scenario(eta=0.9410102672655193, p0=p0, alpha0=4.0)
+        sc = steepest_scenario()
         r2 = single_train_rmax(sc, 2)
         rate_1, _, _ = no_priority_allocation(sc, r2)
         assert rate_1 == pytest.approx(simpson_r1(sc, r2), abs=1e-9)
@@ -341,7 +382,156 @@ class TestNoPriorityAllocation:
             assert profile.f2(float(t)) >= 0.0
 
 
+class TestNewtonSearch:
+    def test_log_usage_slope_matches_central_difference(self, hook_search):
+        searches = []
+        hook_search(lambda f, n: searches.append(f) or f)
+        checked = 0
+        for sc, r2 in seeded_scenarios(1901, 36):
+            searches.clear()
+            _, root, profile = no_priority_allocation(sc, r2)
+            if profile.h2_budget_slack:
+                continue
+            checked += 1
+            (f,) = searches
+            span = 2.0 - sc.entry_offset
+            lam = np.array([0.25 * span, 0.5 * span, 0.75 * span, root])
+            i = np.zeros(lam.size, dtype=int)
+            slope = f(lam, i)[1]
+            numeric = central_difference(lambda x: f(x, i)[0], lam)
+            np.testing.assert_allclose(slope, numeric, rtol=1e-6, atol=SLOPE_ABS)
+        assert checked >= 30
+
+    def test_gap_slope_matches_central_difference(self):
+        for sc, _ in seeded_scenarios(1902, 36):
+            rates = _common_rates(sc)
+            lam = np.linspace(0.05, 0.95, 7) * (2.0 - sc.entry_offset)
+            slope = rates(lam)[2]
+            numeric = central_difference(lambda x: np.subtract(*rates(x)[:2]), lam)
+            np.testing.assert_allclose(slope, numeric, rtol=1e-6, atol=SLOPE_ABS)
+
+    @pytest.mark.parametrize(
+        "sc",
+        [steepest_scenario(), scenario(eta=0.8), scenario(eta=1.0, p0=10.0**1.7, alpha0=5.0)],
+        ids=["steepest", "default", "eta1-alpha5"],
+    )
+    def test_near_end_roots_converge_and_bind(self, sc):
+        # the roots sit by the far end, where log usage is flat: a Newton step
+        # from the first point there leaves the bracket and is bisected
+        r_max_2 = single_train_rmax(sc, 2)
+        for k in range(3, 10):
+            _, lam, profile = no_priority_allocation(sc, r_max_2 * (1.0 - 10.0**-k))
+            assert not profile.h2_budget_slack
+            assert 0.0 < lam < 2.0 - sc.entry_offset
+            for train in (1, 2):
+                assert abs(profile.power_use(train) - 1.0) <= 1e-11, (k, train)
+
+    @pytest.mark.parametrize("bad", [lambda s: 0.0 * s, lambda s: -s, lambda s: s * np.nan])
+    def test_useless_slope_falls_back_to_bisection(self, hook_search, bad):
+        # zero, wrong-signed or nan slopes: the search bisects and finds the
+        # same split, with no numpy warning (the suite makes those errors)
+        sc = steepest_scenario()
+        r2 = 0.999 * single_train_rmax(sc, 2)
+        _, good, _ = no_priority_allocation(sc, r2)
+
+        def spoiled(f, n):
+            def g(x, i):
+                value, slope = f(x, i)
+                return value, bad(slope)
+
+            return g
+
+        hook_search(spoiled)
+        _, lam, profile = no_priority_allocation(sc, r2)
+        assert lam == pytest.approx(good, abs=1e-13)
+        for train in (1, 2):
+            assert abs(profile.power_use(train) - 1.0) <= 1e-11
+
+    @pytest.mark.parametrize(
+        "sc, grid",
+        [
+            # Newton alone cycles between two points inside the bracket
+            (
+                scenario(eta=0.7206172105124768, p0=10.0 ** ((42.05122250567635 - 30.0) / 10.0)),
+                201,
+            ),
+            # log usage is flat on its rounding floor, 1.6e-14 above tol,
+            # for hundreds of ulps before it changes sign
+            (
+                scenario(
+                    eta=1.9934050851470186, p0=10.0 ** ((45.05467100775345 - 30.0) / 10.0), alpha0=4.0
+                ),
+                201,
+            ),
+            # the same over some 45,000 ulps of a 7.7e-5 bracket
+            (
+                EncounterScenario(
+                    half_coverage=569.5372608544059,
+                    speed=73.85304690375852,
+                    perpendicular_distance=86.46463330659445,
+                    antenna_height=45.88388123357775,
+                    path_loss_exponent=3.646047927472141,
+                    avg_power=25.998606899863017,
+                    noise_power=2.3811299693168544e-17,
+                    entry_offset=1.9999231812572094,
+                    beam_weight_1=408.1438587358179,
+                    beam_weight_2=167.52138112606033,
+                ),
+                1001,
+            ),
+        ],
+        ids=["cycle", "floor", "wide-floor"],
+    )
+    def test_hard_roots_take_few_steps(self, hook_search, sc, grid):
+        counts = []
+
+        def counted(f, n):
+            count = np.zeros(n, dtype=int)
+            counts.append(count)
+
+            def g(x, i):
+                np.add.at(count, i, 1)
+                return f(x, i)
+
+            return g
+
+        hook_search(counted)
+        rate_region(sc, grid)
+        assert max(count.max(initial=0) for count in counts) <= 40
+
+    def test_bisection_steps_stay_bracketed_per_element(self):
+        # a true, a zero and a wrong-signed slope in one batch: each element
+        # keeps its own bracket and has the bits of its lone search
+        roots = np.array([0.3, 1.0 / 3.0, 0.7])
+        slopes = np.array([1.0, 0.0, -1.0])
+
+        def search(j):
+            def f(x, i):
+                return x - roots[j][i], slopes[j][i]
+
+            return encounter._newton(f, 0.0, 1.0, -roots[j], 1.0 - roots[j], 1e-14)
+
+        lam = search(slice(None))
+        np.testing.assert_allclose(lam, roots, rtol=0.0, atol=1e-14)
+        assert lam.tolist() == [search([j]).item() for j in range(3)]
+
+
 class TestRateRegion:
+    @pytest.mark.parametrize("eta", [0.0, 0.4, 0.8, 1.2, 1.6])
+    def test_default_grid_takes_few_integral_calls(self, monkeypatch, eta):
+        # a work-count guard: the Newton search takes 22-26 calls here, and
+        # the Illinois false position it replaced took 34-48
+        calls = []
+        between = CumulativeIntegral.between
+
+        def counted(self, a, b):
+            calls.append(1)
+            return between(self, a, b)
+
+        monkeypatch.setattr(CumulativeIntegral, "between", counted)
+        rate_region(load_config(None).encounter_scenario(eta=eta), 201)
+        assert len(calls) <= 30
+
     def test_boundary_monotone_and_endpoints(self):
         sc = scenario(eta=0.8)
         region = rate_region(sc, 9)
@@ -426,7 +616,7 @@ class TestSymmetricRate:
                 alpha0=rng.choice((2.0, 2.5, 3.0, 3.5, 4.0, 5.0)),
             )
             lams = [rng.uniform(0.0, 2.0 - sc.entry_offset) for _ in range(5)]
-            r1s, r2s = _common_rates(sc)(np.array(lams))
+            r1s, r2s, _ = _common_rates(sc)(np.array(lams))
             for lam, r1, r2 in zip(lams, r1s.tolist(), r2s.tolist()):
                 use1 = AllocationProfile(sc, r1, r1, lam).power_use(1)
                 use2 = AllocationProfile(sc, r2, r2, lam).power_use(2)

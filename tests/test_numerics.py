@@ -134,3 +134,12 @@ class TestCumulativeIntegral:
         cum = CumulativeIntegral(2900.0, 100.0, 800.0, 3.0)
         assert type(cum.between(0.0, 4.0)) is float
         assert cum.between(0.0, np.array([4.0, 5.0])).shape == (2,)
+
+    def test_gain_is_the_path_gain_and_the_slope_of_between(self):
+        for base, speed, shift, exponent, a, b in geometry_grid():
+            cum = CumulativeIntegral(base, speed, shift, exponent)
+            t = np.linspace(a, b, 5)
+            gain = cum.gain(t)
+            np.testing.assert_allclose(gain, path_gain(base, speed, shift, exponent)(t), rtol=1e-13)
+            h = 1e-6  # central difference of the integral, as the mean over [t - h, t + h]
+            np.testing.assert_allclose(gain, cum.between(t - h, t + h) / (2.0 * h), rtol=1e-6)
