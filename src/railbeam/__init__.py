@@ -6,108 +6,50 @@ beam geometry and its gain/width tradeoff, the positioning-error-aware
 choice of beam count, the phase-excitation codebook with location-based
 switching, and the achievable rate region when two trains share one
 station.
+
+Each public name imports its module on first use, so ``import railbeam``
+loads no submodule and numpy is imported only by the layers that call it
+(``codebook``, ``encounter``, ``numerics``).
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .codebook import (
-    NotYetEnteredError,
-    PhaseMapper,
-    SteeringVector,
-    TraverseLog,
-    array_factor,
-    build_phase_mapper,
-    export_phase_mapper,
-    export_traverse,
-    select_beam,
-    simulate_traverse,
-    steering_vector,
-)
-from .config import ConfigError, ExperimentConfig, load_config
-from .encounter import (
-    AllocationProfile,
-    ConvergenceError,
-    DecodePriority,
-    EncounterScenario,
-    EncounterWindowError,
-    InfeasibleRateError,
-    RateRegion,
-    no_priority_allocation,
-    priority_rate,
-    rate_region,
-    single_train_rmax,
-    symmetric_rate,
-    tfds_baseline,
-)
-from .geometry import (
-    ArrayConfig,
-    BeamGeometry,
-    OutOfCoverageError,
-    RailGeometry,
-    SingularGeometryError,
-    beam_bounds_on_rail,
-    beam_geometry,
-    beam_index,
-    beamwidth,
-    coverage_interval,
-    directivity,
-    rail_coordinate,
-    total_coverage,
-    wavelength_from_frequency,
-)
-from .positioning import (
-    PositioningModel,
-    SearchResult,
-    effective_probability,
-    gaussian_tail,
-    search_beam_count,
-)
+_EXPORTS = {
+    "codebook": (
+        "NotYetEnteredError", "PhaseMapper", "SteeringVector", "TraverseLog",
+        "array_factor", "build_phase_mapper", "export_phase_mapper", "export_traverse",
+        "select_beam", "simulate_traverse", "steering_vector",
+    ),
+    "config": ("ConfigError", "ExperimentConfig", "load_config"),
+    "encounter": (
+        "AllocationProfile", "ConvergenceError", "DecodePriority", "EncounterScenario",
+        "EncounterWindowError", "InfeasibleRateError", "RateRegion", "no_priority_allocation",
+        "priority_rate", "rate_region", "single_train_rmax", "symmetric_rate", "tfds_baseline",
+    ),
+    "geometry": (
+        "ArrayConfig", "BeamGeometry", "OutOfCoverageError", "RailGeometry",
+        "SingularGeometryError", "beam_bounds_on_rail", "beam_geometry", "beam_index",
+        "beamwidth", "coverage_interval", "directivity", "rail_coordinate", "total_coverage",
+        "wavelength_from_frequency",
+    ),
+    "positioning": (
+        "PositioningModel", "SearchResult", "effective_probability", "gaussian_tail",
+        "search_beam_count",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
 
-__all__ = [
-    "ArrayConfig",
-    "AllocationProfile",
-    "BeamGeometry",
-    "ConfigError",
-    "ConvergenceError",
-    "DecodePriority",
-    "EncounterScenario",
-    "EncounterWindowError",
-    "ExperimentConfig",
-    "InfeasibleRateError",
-    "NotYetEnteredError",
-    "OutOfCoverageError",
-    "PhaseMapper",
-    "PositioningModel",
-    "RailGeometry",
-    "RateRegion",
-    "SearchResult",
-    "SingularGeometryError",
-    "SteeringVector",
-    "TraverseLog",
-    "array_factor",
-    "beam_bounds_on_rail",
-    "beam_geometry",
-    "beam_index",
-    "beamwidth",
-    "build_phase_mapper",
-    "coverage_interval",
-    "directivity",
-    "effective_probability",
-    "export_phase_mapper",
-    "export_traverse",
-    "gaussian_tail",
-    "load_config",
-    "no_priority_allocation",
-    "priority_rate",
-    "rail_coordinate",
-    "rate_region",
-    "search_beam_count",
-    "select_beam",
-    "simulate_traverse",
-    "single_train_rmax",
-    "steering_vector",
-    "symmetric_rate",
-    "tfds_baseline",
-    "total_coverage",
-    "wavelength_from_frequency",
-]
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .encounter import EncounterScenario
-from .geometry import ArrayConfig, RailGeometry, directivity, wavelength_from_frequency
+from .geometry import ArrayConfig, RailGeometry, coverage_interval, directivity, wavelength_from_frequency
 from .positioning import PositioningModel
 
 
@@ -131,6 +130,8 @@ class ExperimentConfig:
     def encounter_scenario(
         self, eta: float | None = None, p0_w: float | None = None
     ) -> EncounterScenario:
+        from .encounter import EncounterScenario  # numpy loads only for encounter runs
+
         return EncounterScenario(
             half_coverage=self.L_m,
             speed=self.v0_mps,
@@ -213,6 +214,11 @@ def _check_ranges(cfg: ExperimentConfig) -> None:
     for s in cfg.sigma_grid_m:
         if s < 0:
             raise ConfigError(f"sigma_grid_m entry {s:g} must be >= 0")
+    if not 0.0 < cfg.tradeoff_theta_h_min < cfg.tradeoff_theta_h_max:
+        raise ConfigError(
+            f"tradeoff_theta_h_min={cfg.tradeoff_theta_h_min:g} must lie in "
+            f"(0, tradeoff_theta_h_max={cfg.tradeoff_theta_h_max:g})"
+        )
     for size_name in ("theta_grid_size", "r2_grid_size", "eta_grid_size", "tradeoff_grid_size"):
         if getattr(cfg, size_name) < 2:
             raise ConfigError(f"{size_name} must be >= 2")
@@ -244,6 +250,12 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
         array_cfg = cfg.array_config()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    lo, hi = coverage_interval(array_cfg)
+    if not lo < cfg.theta_b_rad < hi:
+        raise ConfigError(
+            f"theta_b_rad={cfg.theta_b_rad:.6g} outside the open coverage interval "
+            f"({lo:.6g}, {hi:.6g}) rad"
+        )
 
     default_weight = directivity(array_cfg, cfg.beam_count)
     if "beam_weight_1" not in converted:

@@ -14,12 +14,13 @@ equality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 import numpy as np
 
+from .geometry import _check_finite
 from .numerics import CumulativeIntegral
 
 LN2 = math.log(2.0)
@@ -59,9 +60,7 @@ class EncounterScenario:
     beam_weight_2: float
 
     def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
+        _check_finite(self)
         if not (self.half_coverage > 0 and self.speed > 0):
             raise ValueError("half_coverage and speed must be positive")
         if not self.perpendicular_distance > 0:

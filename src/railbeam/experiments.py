@@ -16,19 +16,13 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from . import __version__
-from .codebook import (
-    PHASE_TABLE_HEADER,
-    TRAVERSE_HEADER,
-    build_phase_mapper,
-    phase_table_text,
-    simulate_traverse,
-    traverse_text,
-)
 from .config import ExperimentConfig, dbm_to_watts
 from .csvout import row_format, write_csv
-from .encounter import RateRegion, rate_region, symmetric_rate, tfds_baseline
 from .geometry import coverage_interval, rail_coordinate
 from .positioning import search_beam_count
+
+# ``codebook`` and ``encounter`` (and so numpy) are imported inside the runners
+# that call them, so ``tradeoff`` and ``search-n`` runs never load numpy.
 
 
 @dataclass(frozen=True)
@@ -112,6 +106,8 @@ def _region_lines(region: RateRegion) -> Iterator[str]:
 
 
 def _run_rate_region(cfg: ExperimentConfig):
+    from .encounter import rate_region, tfds_baseline
+
     files = {}
     for eta in cfg.eta_list:
         region = rate_region(cfg.encounter_scenario(eta=eta), cfg.r2_grid_size)
@@ -126,6 +122,8 @@ _SYMMETRIC_ROW = row_format(_SYMMETRIC_HEADER)
 
 
 def _symmetric_lines(cfg: ExperimentConfig) -> Iterator[str]:
+    from .encounter import symmetric_rate
+
     n = cfg.eta_grid_size
     etas = [2.0 * i / (n - 1) for i in range(n)]
     for dbm in cfg.p0_dbm_list:
@@ -139,6 +137,8 @@ def _run_symmetric(cfg: ExperimentConfig):
 
 
 def _run_traverse(cfg: ExperimentConfig):
+    from .codebook import TRAVERSE_HEADER, build_phase_mapper, simulate_traverse, traverse_text
+
     array_cfg = cfg.array_config()
     mapper = build_phase_mapper(array_cfg, cfg.beam_count)
     lo, hi = coverage_interval(array_cfg)
@@ -157,6 +157,8 @@ def _run_traverse(cfg: ExperimentConfig):
 
 
 def _run_export_codebook(cfg: ExperimentConfig):
+    from .codebook import PHASE_TABLE_HEADER, build_phase_mapper, phase_table_text
+
     mapper = build_phase_mapper(cfg.array_config(), cfg.beam_count)
     return {"codebook.csv": (PHASE_TABLE_HEADER, phase_table_text(mapper))}, []
 

@@ -10,7 +10,7 @@ station's position.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 SPEED_OF_LIGHT = 2.998e8  # m/s
@@ -25,6 +25,13 @@ class OutOfCoverageError(ValueError):
 
 class SingularGeometryError(ValueError):
     """Rail projection undefined (line of sight parallel to the rail)."""
+
+
+def _check_finite(params) -> None:
+    """Reject a parameter dataclass holding a NaN or infinite field, by name."""
+    for f in fields(params):
+        if not math.isfinite(getattr(params, f.name)):
+            raise ValueError(f"{f.name} must be finite")
 
 
 def wavelength_from_frequency(carrier_hz: float) -> float:
@@ -51,6 +58,7 @@ class ArrayConfig:
     bs_coverage_angle: float = 1.0  # rad
 
     def __post_init__(self):
+        _check_finite(self)
         if self.element_count < 1:
             raise ValueError("element_count must be >= 1")
         if self.spacing <= 0:
@@ -84,6 +92,7 @@ class RailGeometry:
     train_angle: float = math.pi / 2  # rad
 
     def __post_init__(self):
+        _check_finite(self)
         if self.perpendicular_distance <= 0:
             raise ValueError("perpendicular_distance must be positive")
         if self.antenna_height < 0:

@@ -116,8 +116,14 @@ class CumulativeIntegral:
         half = 0.5 * width / panels
         total = 0.0  # an empty batch has no panel
         for k in range(int(panels.max(initial=0.0))):
-            nodes = sa[..., None] + half[..., None] * (2 * k + 1 + _NODES)
-            panel = (np.cosh(nodes) ** self._power * self._weights).sum(axis=-1)
+            # in place: at n = 1001 each (n, 24) temporary is 192 KB, and fewer of them
+            # leave the solve's page faults less dependent on the heap's history
+            nodes = half[..., None] * (2 * k + 1 + _NODES)
+            nodes += sa[..., None]
+            np.cosh(nodes, out=nodes)
+            nodes **= self._power
+            nodes *= self._weights
+            panel = nodes.sum(axis=-1)
             total = total + np.where(k < panels, panel, 0.0) if k else panel
         out = total * half
         return out if a.ndim or b.ndim else out.item()

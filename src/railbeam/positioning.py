@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import ArrayConfig, RailGeometry, beam_bounds_on_rail, directivity
+from .geometry import ArrayConfig, RailGeometry, _check_finite, beam_bounds_on_rail, directivity
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -25,6 +25,7 @@ class PositioningModel:
     max_beam_count: int
 
     def __post_init__(self):
+        _check_finite(self)
         if self.error_stddev < 0:
             raise ValueError("error_stddev must be >= 0")
         if not 0.0 < self.threshold < 1.0:
@@ -53,9 +54,10 @@ def effective_probability(left_bound: float, right_bound: float, sigma: float) -
     station to the serving beam's edges; ``sigma = 0`` means perfect
     positioning and returns 1.0 exactly.
     """
-    if left_bound < 0 or right_bound < 0:
+    # written as ``not x >= 0`` so that NaN fails the check too
+    if not left_bound >= 0 or not right_bound >= 0:
         raise ValueError("beam bounds must be nonnegative")
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError("sigma must be >= 0")
     if sigma == 0:
         return 1.0

@@ -71,3 +71,14 @@ def test_traced_encounter_cold_finds_every_probe(gen, tmp_path):
     result = run_worker(tmp_path, "encounter-cold", encounter_inputs(gen), trace=1)
     assert result["failures"] == []
     assert result["trace"]["absent"] == {}
+
+
+def test_cli_mode_runs_a_subcommand(tmp_path):
+    result = run_worker(tmp_path, "cli", ["--out", str(tmp_path / "out"), "tradeoff"], trace=0)
+    assert result["exit_code"] == 0
+    assert (tmp_path / "out" / "tradeoff.csv").exists()
+
+
+def test_traced_setup_finds_every_probe(tmp_path):
+    result = run_worker(tmp_path, "setup", {}, trace=1)
+    assert result["trace"]["absent"] == {}

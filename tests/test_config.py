@@ -12,6 +12,7 @@ from railbeam.config import (
     load_config,
     watts_to_dbm,
 )
+from railbeam.geometry import coverage_interval
 
 
 def write(tmp_path, text):
@@ -138,6 +139,25 @@ class TestRejections:
     def test_n_max_cannot_exceed_elements(self, tmp_path):
         with pytest.raises(ConfigError, match="n_max"):
             load_config(write(tmp_path, "n_max = 256\n"))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "tradeoff_theta_h_min = 0\n",
+            "tradeoff_theta_h_min = -0.1\n",
+            "tradeoff_theta_h_min = 1.5\ntradeoff_theta_h_max = 1.5\n",
+            "tradeoff_theta_h_min = 2\ntradeoff_theta_h_max = 1\n",
+        ],
+    )
+    def test_tradeoff_width_range(self, tmp_path, text):
+        with pytest.raises(ConfigError, match="tradeoff_theta_h_min"):
+            load_config(write(tmp_path, text))
+
+    def test_theta_b_outside_open_coverage(self, tmp_path):
+        lo, hi = coverage_interval(load_config(None).array_config())
+        for text in (f"theta_b_rad = {lo!r}", f"theta_b_rad = {hi!r}", "theta_b_rad = 0.1", "theta_b_deg = 170"):
+            with pytest.raises(ConfigError, match=r"theta_b_rad=.* outside the open coverage interval \(0\.685"):
+                load_config(write(tmp_path, text + "\n"))
 
     def test_coverage_invariant_surfaces_as_config_error(self, tmp_path):
         # spacing so large the covered angle drops below the station's

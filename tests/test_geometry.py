@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import fields, replace
 
 import pytest
 
@@ -264,6 +265,16 @@ class TestValidation:
             RailGeometry(perpendicular_distance=0.0)
         with pytest.raises(ValueError):
             RailGeometry(perpendicular_distance=10.0, antenna_height=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "params, field",
+        [(CANONICAL, f.name) for f in fields(ArrayConfig)]
+        + [(RailGeometry(50.0, 20.0, 1.2), f.name) for f in fields(RailGeometry)],
+    )
+    def test_non_finite_field_rejected(self, params, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            replace(params, **{field: value})
 
     def test_wavelength_helper(self):
         assert wavelength_from_frequency(2.4e9) == pytest.approx(0.12491666666666666, rel=1e-15)

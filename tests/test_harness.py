@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -194,6 +198,23 @@ class TestCli:
         assert main(["--config", str(cfg), "tradeoff"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, command",
+        [
+            ("tradeoff_theta_h_min = 0", ["tradeoff"]),
+            ("theta_b_rad = 0.1", ["search-n", "--sweep", "sigma"]),
+        ],
+    )
+    def test_config_rejected_before_any_file_is_written(self, tmp_path, capsys, line, command):
+        # both used to fail mid-run with a traceback, leaving a header-only CSV and no manifest
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), *command]) == 2
+        key = line.split(" = ")[0]
+        assert capsys.readouterr().err.startswith(f"config error: {key}=")
+        assert not out.exists()
+
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.cfg"), "tradeoff"]) == 2
 
@@ -224,3 +245,21 @@ class TestPackageExports:
         assert len(railbeam.__all__) == len(set(railbeam.__all__))
         missing = [name for name in railbeam.__all__ if not hasattr(railbeam, name)]
         assert missing == []
+
+    def test_imports_load_only_what_is_used(self, tmp_path):
+        # a fresh interpreter, so that modules this test session imported do not count
+        code = f"""
+import sys
+import railbeam
+assert not [m for m in sys.modules if m.startswith("railbeam.")], sorted(sys.modules)
+import railbeam.cli
+from railbeam.config import load_config
+load_config(None)
+assert "numpy" not in sys.modules, "import railbeam.cli and load_config"
+for command in ("tradeoff", "search-n"):
+    assert railbeam.cli.main(["--out", {str(tmp_path)!r}, command]) == 0
+    assert "numpy" not in sys.modules, command
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(railbeam.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-2000:]

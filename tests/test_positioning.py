@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import fields, replace
 
 import pytest
 
@@ -70,6 +71,11 @@ class TestEffectiveProbability:
             effective_probability(-0.1, 1.0, 1.0)
         with pytest.raises(ValueError):
             effective_probability(1.0, 1.0, -1.0)
+
+    @pytest.mark.parametrize("args", [(math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan)])
+    def test_rejects_nan(self, args):
+        with pytest.raises(ValueError):
+            effective_probability(*args)
 
 
 def model(sigma=1.0, threshold=0.9, cap=128):
@@ -208,3 +214,10 @@ class TestModelValidation:
             PositioningModel(error_stddev=1.0, threshold=1.0, max_beam_count=8)
         with pytest.raises(ValueError):
             PositioningModel(error_stddev=1.0, threshold=0.9, max_beam_count=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", [f.name for f in fields(PositioningModel)])
+    def test_non_finite_field_rejected(self, field, value):
+        # a NaN deviation used to reach the search and come back as a feasible N* with P = nan
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            replace(model(), **{field: value})
