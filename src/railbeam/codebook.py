@@ -168,14 +168,17 @@ def simulate_traverse(
 ) -> TraverseLog:
     """Replay beam selection along a (time, angle) trajectory.
 
-    ``switched`` marks samples whose beam differs from the previous one;
-    an empty trajectory yields an empty log.
+    Times must be finite and strictly increasing. ``switched`` marks samples
+    whose beam differs from the previous one; an empty trajectory yields an
+    empty log.
     """
     beam_id = _selector(cfg, mapper.beam_count)
+    if trajectory and not (math.isfinite(trajectory[0][0]) and math.isfinite(trajectory[-1][0])):
+        raise ValueError("trajectory times must be finite")
     samples: list[TraverseSample] = []
     last = None
     for t, theta in trajectory:
-        if samples and t <= last.time:
+        if samples and not t > last.time:  # nan fails too: between finite ends every time is finite
             raise ValueError("trajectory times must be strictly increasing")
         beam = beam_id(theta)
         last = TraverseSample(t, theta, beam, bool(samples) and beam != last.beam_id)

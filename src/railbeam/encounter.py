@@ -109,18 +109,6 @@ class RateRegion:
     pairs: tuple[tuple[float, float], ...]
 
 
-def train_distance(sc: EncounterScenario, train: int, t: float) -> float:
-    """Slant distance of one train's relay to the station antenna."""
-    along = sc.speed * t - sc.half_coverage
-    if train == 1:
-        along += sc.entry_offset * sc.half_coverage
-    elif train != 2:
-        raise ValueError("train must be 1 or 2")
-    return math.sqrt(
-        sc.perpendicular_distance**2 + sc.antenna_height**2 + along**2
-    )
-
-
 def _integrals(sc: EncounterScenario) -> tuple[CumulativeIntegral, CumulativeIntegral]:
     base = sc.perpendicular_distance**2 + sc.antenna_height**2
     shift1 = sc.half_coverage - sc.entry_offset * sc.half_coverage
@@ -196,8 +184,8 @@ def single_train_rmax(sc: EncounterScenario, train: int) -> float:
     SNR flat, so the pass-long rate is a single logarithm of the inverted
     path-gain integral.
     """
-    cum = _integrals(sc)[train - 1]
     a, b = _serving_window(sc, train)
+    cum = _integrals(sc)[train - 1]
     inv = sc.noise_power * cum.between(a, b) / _weight(sc, train)
     return math.log1p(sc.power_budget / inv) / LN2
 
@@ -255,6 +243,7 @@ class AllocationProfile:
         return self.split_parameter * self.scenario.half_coverage / self.scenario.speed
 
     def decode_priority(self, t: float) -> DecodePriority:
+        """Which train is decoded first at ``t``; ``EncounterWindowError`` outside the window, NaN too."""
         sc = self.scenario
         if not sc.entry_time <= t <= sc.exit_time:
             raise EncounterWindowError(f"t={t:.6g} outside encounter window")
@@ -264,39 +253,26 @@ class AllocationProfile:
             return DecodePriority.H1_FIRST
         return DecodePriority.H2_FIRST
 
-    def _inversion(self, train: int, t: float) -> float:
-        sc = self.scenario
-        gain = train_distance(sc, train, t) ** sc.path_loss_exponent
-        return gain * sc.noise_power / (_weight(sc, train) * sc.avg_power)
+    def snr(self, train: int, t: float) -> float:
+        """Received power of one train over noise at ``t`` (interference excluded).
 
-    def f1(self, t: float) -> float:
-        """Train 1's normalized excitation at ``t`` (0 outside its window)."""
-        sc = self.scenario
-        if not sc.entry_time <= t <= sc.overlap_end:
+        Channel inversion holds it at ``2**rate - 1``, times the other train's
+        ``2**rate`` where ``decode_priority`` decodes this train first; it is 0
+        outside the train's serving window.
+        """
+        a, b = _serving_window(self.scenario, train)
+        order = self.decode_priority(t)
+        if not a <= t <= b:
             return 0.0
-        value = self._inversion(1, t) * (2.0**self.rate_1 - 1.0)
-        if 0.0 <= t < self._split_time:
-            value *= 2.0**self.rate_2
-        return value
+        own, other = (self.rate_1, self.rate_2) if train == 1 else (self.rate_2, self.rate_1)
+        first = DecodePriority.H1_FIRST if train == 1 else DecodePriority.H2_FIRST
+        return (2.0**own - 1.0) * (2.0**other if order is first else 1.0)
 
-    def f2(self, t: float) -> float:
-        """Train 2's normalized excitation at ``t`` (0 outside its window)."""
+    def excitation(self, train: int, t: float) -> float:
+        """One train's transmit power over ``p0`` at ``t``: ``snr * noise * d**exponent / weight``."""
         sc = self.scenario
-        if not 0.0 <= t <= sc.exit_time:
-            return 0.0
-        value = self._inversion(2, t) * (2.0**self.rate_2 - 1.0)
-        if self._split_time <= t <= sc.overlap_end:
-            value *= 2.0**self.rate_1
-        return value
-
-    def snr_1(self, t: float) -> float:
-        """Received power of train 1 over noise (interference excluded)."""
-        inv = self._inversion(1, t)
-        return self.f1(t) / inv if inv > 0 else 0.0
-
-    def snr_2(self, t: float) -> float:
-        inv = self._inversion(2, t)
-        return self.f2(t) / inv if inv > 0 else 0.0
+        snr = self.snr(train, t)  # checks train and t before any lookup
+        return snr * _integrals(sc)[train - 1].gain(t) * sc.noise_power / (_weight(sc, train) * sc.avg_power)
 
     def mac_slacks(self, t: float) -> tuple[float, float, float]:
         """Slack of the three multiple-access constraints at ``t``.
@@ -305,18 +281,11 @@ class AllocationProfile:
         constraint that does not apply at ``t`` reports +inf. Nonnegative
         slacks mean the carried rates are decodable.
         """
-        sc = self.scenario
-        in1 = sc.entry_time <= t <= sc.overlap_end
-        in2 = 0.0 <= t <= sc.exit_time
-        s1 = s2 = s12 = math.inf
-        if in1:
-            s1 = math.log1p(self.snr_1(t)) / LN2 - self.rate_1
-        if in2:
-            s2 = math.log1p(self.snr_2(t)) / LN2 - self.rate_2
-        if in1 and in2:
-            s12 = math.log1p(self.snr_1(t) + self.snr_2(t)) / LN2 - (
-                self.rate_1 + self.rate_2
-            )
+        snr1, snr2 = self.snr(1, t), self.snr(2, t)
+        in1, in2 = (a <= t <= b for a, b in (_serving_window(self.scenario, k) for k in (1, 2)))
+        s1 = math.log1p(snr1) / LN2 - self.rate_1 if in1 else math.inf
+        s2 = math.log1p(snr2) / LN2 - self.rate_2 if in2 else math.inf
+        s12 = math.log1p(snr1 + snr2) / LN2 - (self.rate_1 + self.rate_2) if in1 and in2 else math.inf
         return s1, s2, s12
 
     def power_use(self, train: int) -> float:

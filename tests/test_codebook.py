@@ -385,8 +385,18 @@ class TestTraverse:
 
     def test_requires_increasing_times(self):
         mapper = build_phase_mapper(CFG8, 8)
-        with pytest.raises(ValueError):
-            simulate_traverse([(0.0, 1.2), (0.0, 1.2)], mapper, CFG8)
+        nan, inf = math.nan, math.inf
+        for times in (
+            [0.0, 0.0],
+            [0.0, nan, 0.0],  # a nan between two equal times
+            [nan, 0.0],
+            [nan],
+            [0.0, 1.0, nan],
+            [0.0, inf],
+            [-inf, 0.0],
+        ):
+            with pytest.raises(ValueError, match="trajectory times must be"):
+                simulate_traverse([(t, 1.2) for t in times], mapper, CFG8)
 
 
 class TestCsvRoundTrip:

@@ -22,7 +22,6 @@ from railbeam.encounter import (
     single_train_rmax,
     symmetric_rate,
     tfds_baseline,
-    train_distance,
 )
 from railbeam.numerics import CumulativeIntegral, adaptive_simpson
 
@@ -146,6 +145,11 @@ def central_difference(f, x, h=1e-6):
 SLOPE_ABS = 1e-8
 
 
+def train_distance(sc, train, t):
+    """Slant distance of one train's relay to the station, from its path gain ``d**exponent``."""
+    return encounter._integrals(sc)[train - 1].gain(t) ** (1.0 / sc.path_loss_exponent)
+
+
 class TestDistances:
     def test_closest_approach(self):
         sc = scenario(eta=0.4)
@@ -164,8 +168,9 @@ class TestDistances:
             assert train_distance(sc, 1, t) == train_distance(sc, 2, t)
 
     def test_rejects_bad_train(self):
-        with pytest.raises(ValueError):
-            train_distance(scenario(eta=0.5), 3, 1.0)
+        # every per-train lookup reads the train's window before its position
+        with pytest.raises(ValueError, match="train must be 1 or 2"):
+            encounter._serving_window(scenario(eta=0.5), 3)
 
 
 class TestSingleTrainRate:
@@ -227,7 +232,7 @@ class TestNoPriorityAllocation:
         assert rate_1 == pytest.approx(single_train_rmax(sc, 1), rel=1e-12)
         assert lam == 0.0
         for t in (0.0, 2.0, 9.0, 15.0):
-            assert profile.f2(t) == 0.0
+            assert profile.excitation(2, t) == 0.0
 
     def test_no_overlap_keeps_solo_rate_everywhere(self):
         sc = scenario(eta=2.0)
@@ -324,17 +329,17 @@ class TestNoPriorityAllocation:
         rate_1, lam, profile = no_priority_allocation(sc, r2)
         for t in np.linspace(sc.entry_time + 1e-9, sc.overlap_end - 1e-9, 41):
             order = profile.decode_priority(t)
-            snr1 = profile.snr_1(t)
+            snr1 = profile.snr(1, t)
             if order is DecodePriority.H1_FIRST:
-                sinr = snr1 / (1.0 + profile.snr_2(t))
+                sinr = snr1 / (1.0 + profile.snr(2, t))
             else:
                 sinr = snr1
             assert math.log2(1.0 + sinr) == pytest.approx(rate_1, abs=1e-9)
         for t in np.linspace(1e-9, 16.0 - 1e-9, 41):
             order = profile.decode_priority(t)
-            snr2 = profile.snr_2(t)
+            snr2 = profile.snr(2, t)
             if order is DecodePriority.H2_FIRST:
-                sinr = snr2 / (1.0 + profile.snr_1(t))
+                sinr = snr2 / (1.0 + profile.snr(1, t))
             else:
                 sinr = snr2
             assert math.log2(1.0 + sinr) == pytest.approx(r2, abs=1e-9)
@@ -356,6 +361,14 @@ class TestNoPriorityAllocation:
         assert profile.decode_priority(ts / 2) is DecodePriority.H1_FIRST
         assert profile.decode_priority((ts + sc.overlap_end) / 2) is DecodePriority.H2_FIRST
         assert profile.decode_priority((sc.overlap_end + 16.0) / 2) is DecodePriority.SINGLE
+        # exact boundaries: the overlap holds both its ends, and at the split train 2 is decoded first
+        z1, z2 = 2.0**profile.rate_1 - 1.0, 2.0**profile.rate_2 - 1.0
+        assert profile.snr(1, 0.0) == z1 * 2.0**profile.rate_2
+        assert profile.decode_priority(0.0) is DecodePriority.H1_FIRST
+        assert profile.decode_priority(profile._split_time) is DecodePriority.H2_FIRST
+        assert profile.snr(1, profile._split_time) == z1
+        assert profile.snr(2, profile._split_time) == z2 * 2.0**profile.rate_1
+        assert profile.decode_priority(sc.overlap_end) is DecodePriority.H2_FIRST
 
     def test_full_rate_pushes_split_to_boundary(self):
         sc = scenario(eta=0.8)
@@ -378,8 +391,73 @@ class TestNoPriorityAllocation:
         sc = scenario(eta=0.8)
         _, _, profile = no_priority_allocation(sc, 2.0)
         for t in np.linspace(sc.entry_time, sc.exit_time, 101):
-            assert profile.f1(float(t)) >= 0.0
-            assert profile.f2(float(t)) >= 0.0
+            assert profile.excitation(1, float(t)) >= 0.0
+            assert profile.excitation(2, float(t)) >= 0.0
+
+
+class TestProfileSchedule:
+    @pytest.mark.parametrize("alpha0", [2.0, 3.5, 5.0])
+    @pytest.mark.parametrize("eta", [0.0, 0.4, 0.8, 1.6, 1.99, 2.0])
+    def test_excitation_integrates_to_power_use(self, eta, alpha0):
+        # The per-time profile and power_use state one schedule. A fixed
+        # Gauss-Legendre rule on each piece between the schedule's breakpoints
+        # evaluates no breakpoint: at eta = 2 the overlap is the single boosted
+        # point t = 0, which an endpoint rule such as Simpson's would weigh.
+        sc = scenario(eta=eta, alpha0=alpha0)
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        r_max_2 = single_train_rmax(sc, 2)
+        for fraction in (0.0, 0.3, 0.7, 1.0):
+            _, _, profile = no_priority_allocation(sc, fraction * r_max_2)
+            cuts = sorted({sc.entry_time, 0.0, profile._split_time, sc.overlap_end, sc.exit_time})
+            for train in (1, 2):
+                a, b = encounter._serving_window(sc, train)
+                total = 0.0
+                for lo, hi in zip(cuts, cuts[1:]):
+                    if not a <= lo < hi <= b:
+                        continue
+                    edges = np.linspace(lo, hi, 17)  # 16 panels
+                    for start, half in zip(edges[:-1], 0.5 * np.diff(edges)):
+                        ts = (start + half * (1.0 + nodes)).tolist()
+                        total += half * sum(w * profile.excitation(train, t) for t, w in zip(ts, weights))
+                used = total * sc.speed / (2.0 * sc.half_coverage)
+                assert used == pytest.approx(profile.power_use(train), rel=1e-11), (fraction, train)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p, t: p.snr(1, t),
+            lambda p, t: p.snr(2, t),
+            lambda p, t: p.excitation(1, t),
+            lambda p, t: p.excitation(2, t),
+            lambda p, t: p.mac_slacks(t),
+        ],
+        ids=["snr-1", "snr-2", "excitation-1", "excitation-2", "mac_slacks"],
+    )
+    def test_time_outside_window_raises(self, call):
+        sc = scenario(eta=0.8)
+        _, _, profile = no_priority_allocation(sc, 0.5 * single_train_rmax(sc, 2))
+        before, after = math.nextafter(sc.entry_time, -math.inf), math.nextafter(sc.exit_time, math.inf)
+        for t in (math.nan, -100.0, before, after, -math.inf, math.inf):
+            with pytest.raises(EncounterWindowError):
+                call(profile, t)
+        call(profile, sc.entry_time)
+        call(profile, sc.exit_time)
+
+    @pytest.mark.parametrize("train", [0, 3])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p, k: single_train_rmax(p.scenario, k),
+            lambda p, k: p.power_use(k),
+            lambda p, k: p.snr(k, 1.0),
+            lambda p, k: p.excitation(k, 1.0),
+        ],
+        ids=["single_train_rmax", "power_use", "snr", "excitation"],
+    )
+    def test_bad_train_rejected(self, call, train):
+        profile = AllocationProfile(scenario(eta=0.8), 1.0, 1.0, 0.5)
+        with pytest.raises(ValueError, match="train must be 1 or 2"):
+            call(profile, train)
 
 
 class TestNewtonSearch:
