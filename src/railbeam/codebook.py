@@ -133,8 +133,7 @@ def array_factor(
 def _selector(cfg: ArrayConfig, beam_count: int) -> Callable[[float], int]:
     """``select_beam``'s rule as ``theta_b -> beam id``; the count check,
     coverage interval and cell grid are taken once, not per angle."""
-    _, locate = _grid(cfg, beam_count)
-    lo, hi = coverage_interval(cfg)
+    _, lo, hi, locate = _grid(cfg, beam_count)
 
     def beam_id(theta_b: float) -> int:
         if lo <= theta_b < hi:

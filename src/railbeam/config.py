@@ -43,8 +43,10 @@ def _finite_float(text: str) -> float:
 
 
 def _float_list(text: str) -> tuple[float, ...]:
-    """Comma list (``a,b,c``) or linspace shorthand (``start:stop:count``)."""
+    """Comma list (``a,b,c``) or linspace shorthand (``start:stop:count``); nothing may be empty."""
     text = text.strip()
+    if not text:
+        raise ValueError("empty list")
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -54,7 +56,10 @@ def _float_list(text: str) -> tuple[float, ...]:
             raise ValueError("count must be >= 2")
         step = (stop - start) / (count - 1)
         return tuple(start + i * step for i in range(count))
-    return tuple(_finite_float(p) for p in text.split(",") if p.strip())
+    entries = text.split(",")
+    if not all(p.strip() for p in entries):
+        raise ValueError(f"empty entry in {text!r}")
+    return tuple(_finite_float(p) for p in entries)
 
 
 @dataclass

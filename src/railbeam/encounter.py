@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -109,15 +110,6 @@ class RateRegion:
     pairs: tuple[tuple[float, float], ...]
 
 
-def _integrals(sc: EncounterScenario) -> tuple[CumulativeIntegral, CumulativeIntegral]:
-    base = sc.perpendicular_distance**2 + sc.antenna_height**2
-    shift1 = sc.half_coverage - sc.entry_offset * sc.half_coverage
-    return (
-        CumulativeIntegral(base, sc.speed, shift1, sc.path_loss_exponent),
-        CumulativeIntegral(base, sc.speed, sc.half_coverage, sc.path_loss_exponent),
-    )
-
-
 def _serving_window(sc: EncounterScenario, train: int) -> tuple[float, float]:
     if train == 1:
         return sc.entry_time, sc.overlap_end
@@ -126,8 +118,28 @@ def _serving_window(sc: EncounterScenario, train: int) -> tuple[float, float]:
     raise ValueError("train must be 1 or 2")
 
 
-def _weight(sc: EncounterScenario, train: int) -> float:
-    return sc.beam_weight_1 if train == 1 else sc.beam_weight_2
+class _Train(NamedTuple):
+    """One train's path-gain integral and beam weight, its fixed window integrals and solo rate."""
+
+    cum: CumulativeIntegral
+    weight: float
+    whole: float  # over its serving window
+    solo: float  # over the part of that window where it is served alone
+    shared: float  # over the overlap [0, overlap_end]
+    rmax: float  # single_train_rmax
+
+
+def _train(sc: EncounterScenario, train: int) -> _Train:
+    a, b = _serving_window(sc, train)  # checks the train first
+    base, t_ov = sc.perpendicular_distance**2 + sc.antenna_height**2, sc.overlap_end
+    shift = sc.half_coverage - (sc.entry_offset * sc.half_coverage if train == 1 else 0.0)
+    weight = sc.beam_weight_1 if train == 1 else sc.beam_weight_2
+    alone = (a, 0.0) if train == 1 else (t_ov, b)  # before the overlap, or after it
+    cum = CumulativeIntegral(base, sc.speed, shift, sc.path_loss_exponent)
+    # whole, solo and shared in one array call (same bits as three)
+    whole, solo, shared = cum.between([a, alone[0], 0.0], [b, alone[1], t_ov]).tolist()
+    inv = sc.noise_power * whole / weight
+    return _Train(cum, weight, whole, solo, shared, math.log1p(sc.power_budget / inv) / LN2)
 
 
 _MAX_ITERATIONS = 100
@@ -184,18 +196,13 @@ def single_train_rmax(sc: EncounterScenario, train: int) -> float:
     SNR flat, so the pass-long rate is a single logarithm of the inverted
     path-gain integral.
     """
-    a, b = _serving_window(sc, train)
-    cum = _integrals(sc)[train - 1]
-    inv = sc.noise_power * cum.between(a, b) / _weight(sc, train)
-    return math.log1p(sc.power_budget / inv) / LN2
+    return _train(sc, train).rmax
 
 
 def _priority_noise_factor(sc: EncounterScenario, priority_holder: int) -> float:
     """1 + SNR of the priority train over the shared interval."""
-    cum = _integrals(sc)[priority_holder - 1]
-    shared = cum.between(0.0, sc.overlap_end)
-    inv = sc.noise_power * shared / _weight(sc, priority_holder)
-    return 1.0 + sc.power_budget / inv
+    holder = _train(sc, priority_holder)
+    return 1.0 + sc.power_budget / (sc.noise_power * holder.shared / holder.weight)
 
 
 def priority_rate(sc: EncounterScenario, priority_holder: int) -> float:
@@ -208,17 +215,11 @@ def priority_rate(sc: EncounterScenario, priority_holder: int) -> float:
     """
     if priority_holder not in (1, 2):
         raise ValueError("priority_holder must be 1 or 2")
-    other = 1 if priority_holder == 2 else 2
+    other = _train(sc, 1 if priority_holder == 2 else 2)
     if sc.overlap_end <= 0.0:
-        return single_train_rmax(sc, other)
-    cum = _integrals(sc)[other - 1]
-    if other == 1:
-        solo = cum.between(sc.entry_time, 0.0)
-    else:
-        solo = cum.between(sc.overlap_end, sc.exit_time)
-    shared = cum.between(0.0, sc.overlap_end)
+        return other.rmax
     factor = _priority_noise_factor(sc, priority_holder)
-    inv = sc.noise_power * (factor * shared + solo) / _weight(sc, other)
+    inv = sc.noise_power * (factor * other.shared + other.solo) / other.weight
     return math.log1p(sc.power_budget / inv) / LN2
 
 
@@ -237,6 +238,18 @@ class AllocationProfile:
     rate_2: float
     split_parameter: float
     h2_budget_slack: bool = False
+
+    def __post_init__(self):
+        for name in ("rate_1", "rate_2"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+        if not math.isfinite(self.split_parameter):
+            raise ValueError("split_parameter must be finite")
+
+    @cached_property
+    def _trains(self) -> tuple[_Train, _Train]:
+        # excitation runs once per instant; its path gains are built once per profile
+        return _train(self.scenario, 1), _train(self.scenario, 2)
 
     @property
     def _split_time(self) -> float:
@@ -272,7 +285,8 @@ class AllocationProfile:
         """One train's transmit power over ``p0`` at ``t``: ``snr * noise * d**exponent / weight``."""
         sc = self.scenario
         snr = self.snr(train, t)  # checks train and t before any lookup
-        return snr * _integrals(sc)[train - 1].gain(t) * sc.noise_power / (_weight(sc, train) * sc.avg_power)
+        path = self._trains[train - 1]
+        return snr * path.cum.gain(t) * sc.noise_power / (path.weight * sc.avg_power)
 
     def mac_slacks(self, t: float) -> tuple[float, float, float]:
         """Slack of the three multiple-access constraints at ``t``.
@@ -291,29 +305,24 @@ class AllocationProfile:
     def power_use(self, train: int) -> float:
         """Average-power usage of one train, 1.0 means the budget binds."""
         sc = self.scenario
-        a, b = _serving_window(sc, train)
-        cum = _integrals(sc)[train - 1]
-        coeff = sc.noise_power / (_weight(sc, train) * sc.avg_power)
-        t_ov = sc.overlap_end
-        t_split = min(max(self._split_time, 0.0), t_ov)
-        if train == 1:
-            gain, boost = 2.0**self.rate_1 - 1.0, 2.0**self.rate_2
-            starts, ends = [a, t_split, 0.0], [0.0, t_ov, t_split]
-        else:
-            gain, boost = 2.0**self.rate_2 - 1.0, 2.0**self.rate_1
-            starts, ends = [t_ov, 0.0, t_split], [b, t_split, t_ov]
-        # solo, plain shared and boosted shared parts in one array call (same bits as three)
-        solo, plain, boosted = cum.between(starts, ends).tolist()
-        integral = coeff * gain * (solo + plain + boosted * boost)
+        path = _train(sc, train)
+        coeff = sc.noise_power / (path.weight * sc.avg_power)
+        t_split = min(max(self._split_time, 0.0), sc.overlap_end)
+        # the overlap before and after the split in one array call (same bits as two)
+        early, late = path.cum.between([0.0, t_split], [t_split, sc.overlap_end]).tolist()
+        own, other = (self.rate_1, self.rate_2) if train == 1 else (self.rate_2, self.rate_1)
+        boosted, plain = (early, late) if train == 1 else (late, early)
+        integral = coeff * (2.0**own - 1.0) * (path.solo + plain + boosted * 2.0**other)
         return integral * sc.speed / (2.0 * sc.half_coverage)
 
 
-def _allocate(sc: EncounterScenario, rate_2: np.ndarray, r_max_2: float) -> tuple[np.ndarray, ...]:
+def _allocate(sc: EncounterScenario, rate_2: np.ndarray, one: _Train, two: _Train) -> tuple[np.ndarray, ...]:
     """``(rate_1, rate_2, split_parameter, h2_budget_slack)`` at each of ``rate_2``.
 
-    ``no_priority_allocation`` for a whole batch: the fixed window integrals
-    are taken once. ``r_max_2`` is ``single_train_rmax(sc, 2)``; it clips ``rate_2``.
+    ``no_priority_allocation`` for a whole batch, on the trains' fixed window
+    integrals ``one`` and ``two``; train 2's solo maximum clips ``rate_2``.
     """
+    r_max_2 = two.rmax
     if not np.all(rate_2 >= 0.0):
         raise InfeasibleRateError("rate_2 must be >= 0")
     if not np.all(rate_2 <= r_max_2 * (1.0 + 1e-9)):
@@ -321,11 +330,8 @@ def _allocate(sc: EncounterScenario, rate_2: np.ndarray, r_max_2: float) -> tupl
     rate_2 = np.minimum(rate_2, r_max_2)
     span = 2.0 - sc.entry_offset
 
-    cum1, cum2 = _integrals(sc)
-    w1, w2, noise, budget = sc.beam_weight_1, sc.beam_weight_2, sc.noise_power, sc.power_budget
-    t_ov = sc.overlap_end
-    solo1, full1 = cum1.between([sc.entry_time, 0.0], [0.0, t_ov])
-    full2, solo2 = cum2.between([0.0, t_ov], [t_ov, sc.exit_time])
+    (cum1, w1, _, solo1, full1, _), (cum2, w2, _, solo2, full2, _) = one, two
+    noise, budget, t_ov = sc.noise_power, sc.power_budget, sc.overlap_end
     boost2 = 2.0**rate_2
 
     def inverse_1(t, boost2):
@@ -377,7 +383,7 @@ def no_priority_allocation(sc: EncounterScenario, rate_2: float) -> tuple[float,
     can hold its rate decoded-first everywhere, its budget goes slack and
     train 1 keeps its full solo rate (flat region boundary).
     """
-    batch = _allocate(sc, np.array([rate_2], dtype=float), single_train_rmax(sc, 2))
+    batch = _allocate(sc, np.array([rate_2], dtype=float), _train(sc, 1), _train(sc, 2))
     rate_1, rate_2, split, slack = (v[0].item() for v in batch)
     return rate_1, split, AllocationProfile(sc, rate_1, rate_2, split, h2_budget_slack=slack)
 
@@ -386,9 +392,9 @@ def rate_region(sc: EncounterScenario, grid_size: int) -> RateRegion:
     """Boundary of the achievable (R1, R2) set on a uniform R2 grid."""
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    r_max_2 = single_train_rmax(sc, 2)
-    r2s = [r_max_2 * j / (grid_size - 1) for j in range(grid_size)]
-    pairs = tuple(zip(_allocate(sc, np.array(r2s), r_max_2)[0].tolist(), r2s))
+    one, two = _train(sc, 1), _train(sc, 2)
+    r2s = [two.rmax * j / (grid_size - 1) for j in range(grid_size)]
+    pairs = tuple(zip(_allocate(sc, np.array(r2s), one, two)[0].tolist(), r2s))
     return RateRegion(pairs=pairs)
 
 
@@ -403,7 +409,7 @@ def tfds_baseline(sc: EncounterScenario, grid_size: int) -> RateRegion:
     return RateRegion(pairs=pairs)
 
 
-def _common_rates(sc: EncounterScenario) -> Callable[[np.ndarray], tuple[np.ndarray, ...]]:
+def _common_rates(sc: EncounterScenario, one: _Train, two: _Train) -> Callable[[np.ndarray], tuple]:
     """Largest rate each train's budget allows when both carry it, against the split.
 
     Fix the split; let ``x1`` be the share of train 1's window integral before
@@ -414,11 +420,10 @@ def _common_rates(sc: EncounterScenario) -> Callable[[np.ndarray], tuple[np.ndar
     ``rates(lam)`` gives both rates and the slope of ``R1 - R2`` in the split, from
     ``dz/dx = -z**2/(1 + 2*z*x)`` and the path gains at the split.
     """
-    cum1, cum2 = _integrals(sc)
+    (cum1, w1, whole1, *_), (cum2, w2, whole2, *_) = one, two
     t_ov = sc.overlap_end
-    whole1, whole2 = cum1.between(sc.entry_time, t_ov), cum2.between(0.0, sc.exit_time)
-    c1 = sc.power_budget * sc.beam_weight_1 / (sc.noise_power * whole1)
-    c2 = sc.power_budget * sc.beam_weight_2 / (sc.noise_power * whole2)
+    c1 = sc.power_budget * w1 / (sc.noise_power * whole1)
+    c2 = sc.power_budget * w2 / (sc.noise_power * whole2)
 
     def rates(lam):
         t_split = lam * sc.half_coverage / sc.speed
@@ -443,7 +448,8 @@ def symmetric_rate(sc: EncounterScenario) -> float:
     1's at split 0 when train 2's already reaches it there. Both solo maxima
     cap the result.
     """
-    rates = _common_rates(sc)
+    one, two = _train(sc, 1), _train(sc, 2)
+    rates = _common_rates(sc, one, two)
 
     def gap(lam, _=None):
         r1, r2, slope = rates(lam)
@@ -454,4 +460,4 @@ def symmetric_rate(sc: EncounterScenario) -> float:
     if gap_at_zero[0] > 0.0:
         lam = _newton(gap, 0.0, end[0], gap_at_zero, gap(end)[0], 1e-13)
     r1, r2, _ = rates(lam)
-    return min(r1.item(), r2.item(), single_train_rmax(sc, 1), single_train_rmax(sc, 2))
+    return min(r1.item(), r2.item(), one.rmax, two.rmax)

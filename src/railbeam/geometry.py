@@ -154,21 +154,22 @@ def index_offset(theta_b: float, cfg: ArrayConfig, beam_count: int) -> int:
     return math.floor((2.0 * theta_b - math.pi) / (2.0 * width))
 
 
-def _grid(cfg: ArrayConfig, beam_count: int) -> tuple[float, Callable[[float], tuple[int, float]]]:
-    """The package's one cell grid: ``(width, locate)`` for ``beam_count`` cells.
+def _grid(cfg: ArrayConfig, beam_count: int) -> tuple[float, float, float, Callable]:
+    """The package's one cell grid: ``(width, lo, hi, locate)`` for ``beam_count`` cells.
 
-    ``locate(theta)`` gives the 0-based cell holding ``theta``, clamped to
-    [0, N-1], and its lower edge. Even counts anchor the grid at broadside,
-    odd counts at the lower coverage edge; both refine dyadically when the
-    count doubles. Width and origin are taken once per grid, not per angle.
+    ``(lo, hi)`` is ``coverage_interval``. ``locate(theta)`` gives the 0-based
+    cell holding ``theta``, clamped to [0, N-1], and its lower edge. Even counts
+    anchor the grid at broadside, odd counts at ``lo``; both refine dyadically
+    when the count doubles. All of it is taken once per grid, not per angle.
     """
     width = beamwidth(cfg, beam_count)
+    lo, hi = coverage_interval(cfg)
     if beam_count % 2 == 0:
         # (theta - pi/2)/w has the bits of index_offset's (2*theta - pi)/(2*w):
         # fl(pi) == 2*fl(pi/2) and doubling is exact, so broadside is exact too
         origin, half = math.pi / 2, beam_count // 2
     else:
-        origin, half = coverage_interval(cfg)[0], 0
+        origin, half = lo, 0
 
     def locate(theta: float) -> tuple[int, float]:
         raw = math.floor((theta - origin) / width) + half
@@ -176,7 +177,7 @@ def _grid(cfg: ArrayConfig, beam_count: int) -> tuple[float, Callable[[float], t
         cell = 0 if raw < 0 else beam_count - 1 if raw >= beam_count else raw
         return cell, origin + (cell - half) * width
 
-    return width, locate
+    return width, lo, hi, locate
 
 
 def beam_index(theta_b: float, cfg: ArrayConfig, beam_count: int) -> int:
@@ -186,8 +187,7 @@ def beam_index(theta_b: float, cfg: ArrayConfig, beam_count: int) -> int:
     midpoint); an angle on a shared cell edge belongs to the higher beam,
     and the upper coverage edge to beam N.
     """
-    _, locate = _grid(cfg, beam_count)
-    lo, hi = coverage_interval(cfg)
+    _, lo, hi, locate = _grid(cfg, beam_count)
     if not lo <= theta_b <= hi:
         raise OutOfCoverageError(
             f"theta_b={theta_b:.6g} outside coverage [{lo:.6g}, {hi:.6g}]"
@@ -215,9 +215,8 @@ def beam_bounds_on_rail(
     The rail projection ``rail_coordinate`` fixes which edge lies on which
     side of the station.
     """
-    width, locate = _grid(cfg, beam_count)
+    width, lo, hi, locate = _grid(cfg, beam_count)
     theta_b = geo.train_angle
-    lo, hi = coverage_interval(cfg)
     if not lo < theta_b < hi:
         raise OutOfCoverageError(
             f"theta_b={theta_b:.6g} outside open coverage ({lo:.6g}, {hi:.6g})"

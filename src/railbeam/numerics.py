@@ -88,10 +88,7 @@ class CumulativeIntegral:
     equal panels integrates it to about 3e-14 relative; nothing is cached.
     """
 
-    def __init__(
-        self, base: float, speed: float, shift: float, exponent: float, origin: float = 0.0
-    ):
-        self.origin = origin
+    def __init__(self, base: float, speed: float, shift: float, exponent: float):
         self._power = exponent + 1.0
         inv_root = 1.0 / math.sqrt(base)
         self._slope, self._offset = speed * inv_root, shift * inv_root
@@ -99,8 +96,8 @@ class CumulativeIntegral:
         self._scale = base ** (0.5 * exponent)
 
     def value(self, t: float) -> float:
-        """Integral from ``origin`` to ``t``."""
-        return self.between(self.origin, t)
+        """Integral from 0 to ``t``."""
+        return self.between(0.0, t)
 
     def between(self, a, b):
         """Integral over ``[a, b]`` (negative when ``a > b``); two scalars give a float.

@@ -86,15 +86,12 @@ def search_beam_count(
             f"{cfg.element_count}"
         )
     sigma = model.error_stddev
-    best = None
-    best_prob = 0.0
-    n = 1
-    while n <= model.max_beam_count:
-        prob = _probability_at(cfg, geo, sigma, n)
-        if prob < model.threshold:
+    n, prob = 1, _probability_at(cfg, geo, sigma, 1)
+    if prob < model.threshold:
+        return SearchResult(1, prob, directivity(cfg, 1), False)
+    while 2 * n <= model.max_beam_count:
+        doubled = _probability_at(cfg, geo, sigma, 2 * n)
+        if doubled < model.threshold:
             break
-        best, best_prob = n, prob
-        n *= 2
-    if best is None:
-        return SearchResult(1, _probability_at(cfg, geo, sigma, 1), directivity(cfg, 1), False)
-    return SearchResult(best, best_prob, directivity(cfg, best), True)
+        n, prob = 2 * n, doubled
+    return SearchResult(n, prob, directivity(cfg, n), True)

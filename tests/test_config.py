@@ -112,6 +112,18 @@ class TestRejections:
         with pytest.raises(ConfigError, match="line 1.*not finite"):
             load_config(write(tmp_path, "p0_dbm_list = 37, nan\n"))
 
+    @pytest.mark.parametrize("value", ["", "  ", "# nothing"])
+    def test_empty_list_reports_line(self, tmp_path, value):
+        # an empty eta_list used to write only tfds.csv
+        with pytest.raises(ConfigError, match="line 2.*'eta_list'.*empty list"):
+            load_config(write(tmp_path, f"eta = 1\neta_list = {value}\n"))
+
+    @pytest.mark.parametrize("value", ["0.7,,0.9", "0.7, ,0.9", "0.7,0.9,", ",0.7"])
+    def test_empty_list_entry_reports_line(self, tmp_path, value):
+        # an empty entry used to be dropped
+        with pytest.raises(ConfigError, match="line 1.*'p_th_list'.*empty entry"):
+            load_config(write(tmp_path, f"p_th_list = {value}\n"))
+
     def test_seed_is_an_unknown_key(self, tmp_path):
         with pytest.raises(ConfigError, match="line 1.*unknown key 'seed'"):
             load_config(write(tmp_path, "seed = 42\n"))

@@ -33,8 +33,9 @@ def three_call_power_use(profile, train):
     """``AllocationProfile.power_use`` as three scalar ``between`` calls."""
     sc = profile.scenario
     a, b = encounter._serving_window(sc, train)
-    cum = encounter._integrals(sc)[train - 1]
-    coeff = sc.noise_power / (encounter._weight(sc, train) * sc.avg_power)
+    path = encounter._train(sc, train)
+    cum = path.cum
+    coeff = sc.noise_power / (path.weight * sc.avg_power)
     t_split = min(max(profile._split_time, 0.0), sc.overlap_end)
     if train == 1:
         gain = 2.0**profile.rate_1 - 1.0
@@ -136,6 +137,20 @@ def hook_search(monkeypatch):
     return install
 
 
+@pytest.fixture
+def between_calls(monkeypatch):
+    """A list that gains one entry per ``CumulativeIntegral.between`` call from then on."""
+    calls = []
+    between = CumulativeIntegral.between
+
+    def counted(self, a, b):
+        calls.append(1)
+        return between(self, a, b)
+
+    monkeypatch.setattr(CumulativeIntegral, "between", counted)
+    return calls
+
+
 def central_difference(f, x, h=1e-6):
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
@@ -147,7 +162,7 @@ SLOPE_ABS = 1e-8
 
 def train_distance(sc, train, t):
     """Slant distance of one train's relay to the station, from its path gain ``d**exponent``."""
-    return encounter._integrals(sc)[train - 1].gain(t) ** (1.0 / sc.path_loss_exponent)
+    return encounter._train(sc, train).cum.gain(t) ** (1.0 / sc.path_loss_exponent)
 
 
 class TestDistances:
@@ -263,7 +278,7 @@ class TestNoPriorityAllocation:
             for fraction in (0.1, 0.4, 0.7, 0.9, 0.99, 1.0):
                 _, _, profile = no_priority_allocation(sc, fraction * r_max_2)
                 for train in (1, 2):
-                    # one array call has the bits of three scalar calls
+                    # its array calls have the bits of three scalar calls
                     assert profile.power_use(train) == three_call_power_use(profile, train)
                 if not profile.h2_budget_slack:
                     bound += 1
@@ -459,6 +474,43 @@ class TestProfileSchedule:
         with pytest.raises(ValueError, match="train must be 1 or 2"):
             call(profile, train)
 
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ((1.0, 1.0, math.nan), "split_parameter"),
+            ((1.0, 1.0, -math.inf), "split_parameter"),
+            ((math.nan, -1.0, 0.5), "rate_1"),
+            ((math.inf, 1.0, 0.5), "rate_1"),
+            ((1.0, -1.0, 0.5), "rate_2"),
+            ((1.0, math.nan, 0.5), "rate_2"),
+        ],
+    )
+    def test_bad_field_rejected(self, fields, name):
+        # a nan split used to read as decodable in mac_slacks while power_use
+        # raised from inside between; a nan rate gave nan power use
+        with pytest.raises(ValueError, match=name):
+            AllocationProfile(scenario(eta=0.8), *fields)
+
+    def test_edge_fields_accepted(self):
+        # zero rates, and splits outside the overlap, which power_use clamps
+        sc = scenario(eta=0.8)
+        for split in (-1.0, 0.0, 5.0):
+            profile = AllocationProfile(sc, 0.0, 0.0, split)
+            assert profile.power_use(1) == profile.power_use(2) == 0.0
+
+    def test_per_time_methods_take_no_integral_per_instant(self, between_calls):
+        sc = scenario(eta=0.8)
+        profile = AllocationProfile(sc, 1.0, 2.0, 0.5)
+        times = np.linspace(sc.entry_time, sc.exit_time, 50).tolist()
+        for t in times:
+            profile.mac_slacks(t)
+        assert len(between_calls) == 0
+        for t in times:
+            profile.excitation(1, t)
+            profile.excitation(2, t)
+        # at most each train's fixed windows, once per profile
+        assert len(between_calls) <= 2
+
 
 class TestNewtonSearch:
     def test_log_usage_slope_matches_central_difference(self, hook_search):
@@ -482,7 +534,7 @@ class TestNewtonSearch:
 
     def test_gap_slope_matches_central_difference(self):
         for sc, _ in seeded_scenarios(1902, 36):
-            rates = _common_rates(sc)
+            rates = _common_rates(sc, encounter._train(sc, 1), encounter._train(sc, 2))
             lam = np.linspace(0.05, 0.95, 7) * (2.0 - sc.entry_offset)
             slope = rates(lam)[2]
             numeric = central_difference(lambda x: np.subtract(*rates(x)[:2]), lam)
@@ -596,19 +648,33 @@ class TestNewtonSearch:
 
 class TestRateRegion:
     @pytest.mark.parametrize("eta", [0.0, 0.4, 0.8, 1.2, 1.6])
-    def test_default_grid_takes_few_integral_calls(self, monkeypatch, eta):
+    def test_default_grid_takes_few_integral_calls(self, between_calls, eta):
         # a work-count guard: the Newton search takes 22-26 calls here, and
         # the Illinois false position it replaced took 34-48
-        calls = []
-        between = CumulativeIntegral.between
-
-        def counted(self, a, b):
-            calls.append(1)
-            return between(self, a, b)
-
-        monkeypatch.setattr(CumulativeIntegral, "between", counted)
         rate_region(load_config(None).encounter_scenario(eta=eta), 201)
-        assert len(calls) <= 30
+        assert len(between_calls) <= 30
+
+    @pytest.mark.parametrize("eta, most", [(0.0, 10), (0.8, 10), (1.6, 10), (2.0, 6)])
+    def test_default_symmetric_rate_takes_few_integral_calls(self, between_calls, eta, most):
+        # the solo caps come from the fixed window integrals, not from two more calls
+        symmetric_rate(load_config(None).encounter_scenario(eta=eta))
+        assert len(between_calls) <= most
+
+    @pytest.mark.parametrize("eta", [0.0, 0.8, 2.0])
+    def test_allocation_takes_its_fixed_windows_in_two_calls(self, monkeypatch, between_calls, eta):
+        sc = load_config(None).encounter_scenario(eta=eta)
+        r2 = 0.5 * single_train_rmax(sc, 2)
+        train, inside = encounter._train, []
+
+        def counted(sc, k):
+            before = len(between_calls)
+            out = train(sc, k)
+            inside.append(len(between_calls) - before)
+            return out
+
+        monkeypatch.setattr(encounter, "_train", counted)
+        no_priority_allocation(sc, r2)
+        assert inside == [1, 1]
 
     def test_boundary_monotone_and_endpoints(self):
         sc = scenario(eta=0.8)
@@ -694,7 +760,8 @@ class TestSymmetricRate:
                 alpha0=rng.choice((2.0, 2.5, 3.0, 3.5, 4.0, 5.0)),
             )
             lams = [rng.uniform(0.0, 2.0 - sc.entry_offset) for _ in range(5)]
-            r1s, r2s, _ = _common_rates(sc)(np.array(lams))
+            rates = _common_rates(sc, encounter._train(sc, 1), encounter._train(sc, 2))
+            r1s, r2s, _ = rates(np.array(lams))
             for lam, r1, r2 in zip(lams, r1s.tolist(), r2s.tolist()):
                 use1 = AllocationProfile(sc, r1, r1, lam).power_use(1)
                 use2 = AllocationProfile(sc, r2, r2, lam).power_use(2)

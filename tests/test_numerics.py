@@ -103,10 +103,11 @@ class TestCumulativeIntegral:
         assert cum.between(-4.0, 6.5) + cum.between(6.5, 14.0) == pytest.approx(total, rel=1e-13)
 
     def test_negative_direction(self):
-        cum = CumulativeIntegral(2900.0, 100.0, 800.0, 2.5, origin=3.0)
-        assert cum.value(3.0) == 0.0
-        assert cum.value(-2.0) == cum.between(3.0, -2.0)
-        assert cum.value(-2.0) == pytest.approx(-cum.between(-2.0, 3.0), rel=1e-15)
+        cum = CumulativeIntegral(2900.0, 100.0, 800.0, 2.5)
+        assert cum.between(3.0, 3.0) == 0.0
+        assert cum.between(3.0, -2.0) < 0.0
+        assert cum.between(3.0, -2.0) == pytest.approx(-cum.between(-2.0, 3.0), rel=1e-15)
+        assert cum.value(-2.0) == cum.between(0.0, -2.0) < 0.0
 
     def test_same_bits_whatever_was_queried_before(self):
         fresh = CumulativeIntegral(2900.0, 100.0, 800.0, 3.0).value(7.3)
