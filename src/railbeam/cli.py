@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from . import __version__
 from .config import ConfigError, load_config
@@ -57,6 +58,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
     out_dir = args.out if args.out is not None else cfg.out_dir
+    if not out_dir:
+        parser.error("--out must name a directory")
 
     if args.command == "search-n":
         experiments = {
@@ -68,9 +71,13 @@ def main(argv: list[str] | None = None) -> int:
         experiments = [args.command]
 
     for experiment in experiments:
-        manifest = run_experiment(cfg, experiment, out_dir)
+        try:
+            manifest = run_experiment(cfg, experiment, out_dir)
+        except OSError as exc:
+            print(f"cannot write output: {exc}", file=sys.stderr)
+            return 2
         for name, rows in manifest.files.items():
-            print(f"wrote {out_dir}/{name} ({rows} rows)")
+            print(f"wrote {Path(out_dir) / name} ({rows} rows)")
     return 0
 
 

@@ -187,11 +187,13 @@ def simulate_traverse(
 
 def phase_table_text(mapper: PhaseMapper) -> Iterator[str]:
     """The phase table as ``beam_id,element_id,phase_rad`` CSV lines, one chunk per beam."""
-    # row_format's line for this header, as an f-string over Python floats
-    # (``tolist``): the phase table is by far the largest table written.
+    # The largest table written: one C-level ``%`` format per beam (``%.12g`` prints as
+    # row_format's ``{:.12g}``) over one column's floats, so memory never holds the table.
+    template = "".join(f"%d,{m},%.12g\n" for m in range(1, mapper.element_count + 1))
     for beam in range(1, mapper.beam_count + 1):
-        column = mapper.phases[:, beam - 1].tolist()
-        yield "".join(f"{beam},{m},{p:.12g}\n" for m, p in enumerate(column, start=1))
+        args = [beam] * (2 * mapper.element_count)
+        args[1::2] = mapper.phases[:, beam - 1].tolist()
+        yield template % tuple(args)
 
 
 def export_phase_mapper(mapper: PhaseMapper, path: str | Path) -> None:

@@ -185,6 +185,8 @@ def _parse_lines(path: str | Path) -> dict[str, tuple[object, int]]:
                 values[key] = (_KEY_PARSER[key](text), lineno)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
+            if not text:  # only ``str`` parses an empty value; every other parser raised above
+                raise ConfigError(f"line {lineno}: empty value for {key!r}")
     return values
 
 

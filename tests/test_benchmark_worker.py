@@ -22,12 +22,16 @@ BENCH = ROOT / "perfbench"
 SEED = 7
 
 
-@pytest.fixture(scope="module")
-def gen():
-    spec = importlib.util.spec_from_file_location("perfbench_gen", BENCH / "gen.py")
+def load_bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def gen():
+    return load_bench_module("gen")
 
 
 def run_worker(tmp_path: Path, mode: str, inputs: dict, trace: int) -> dict:
@@ -77,6 +81,26 @@ def test_cli_mode_runs_a_subcommand(tmp_path):
     result = run_worker(tmp_path, "cli", ["--out", str(tmp_path / "out"), "tradeoff"], trace=0)
     assert result["exit_code"] == 0
     assert (tmp_path / "out" / "tradeoff.csv").exists()
+
+
+def test_cli_codebook_export_passes_its_check(gen, tmp_path):
+    """The codebook-export workload's CSV check, on a 64 x 64 table at the seed's carrier."""
+    size = 64
+    full = gen.generate("codebook-export", SEED)
+    config = tmp_path / "config.txt"
+    config.write_text(
+        f"element_count = {size}\nbeam_count = {size}\n"
+        f"carrier_frequency_hz = {full['carrier_frequency_hz']:.0f}\n"
+    )
+    pairs = sorted({(beam % size, element % size) for beam, element in full["sample_rows"]})
+    phases = run_worker(tmp_path, "phases", {"config": str(config), "sample_rows": pairs}, trace=0)["phases"]
+    out = tmp_path / "csv"
+    argv = ["--config", str(config), "--out", str(out), "export-codebook"]
+    assert run_worker(tmp_path, "cli", argv, trace=0)["exit_code"] == 0
+    checks = load_bench_module("checks")
+    failures, rows = checks.codebook_csv(out / "codebook.csv", size, dict(zip(pairs, phases)))
+    assert failures == []
+    assert rows == size * size
 
 
 def test_traced_setup_finds_every_probe(tmp_path):

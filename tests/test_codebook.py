@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from railbeam.codebook import (
+    PHASE_TABLE_HEADER,
     NotYetEnteredError,
     PhaseMapper,
     TraverseSample,
@@ -16,11 +17,13 @@ from railbeam.codebook import (
     array_factor,
     export_phase_mapper,
     export_traverse,
+    phase_table_text,
     select_beam,
     simulate_traverse,
     steering_vector,
     wavenumber,
 )
+from railbeam.csvout import row_format
 from railbeam.geometry import (
     ArrayConfig,
     OutOfCoverageError,
@@ -397,6 +400,32 @@ class TestTraverse:
         ):
             with pytest.raises(ValueError, match="trajectory times must be"):
                 simulate_traverse([(t, 1.2) for t in times], mapper, CFG8)
+
+
+class TestPhaseTableText:
+    """The streamed phase table against a per-row reference in the shared CSV format."""
+
+    @pytest.mark.parametrize("elements, beams", [(16, 5), (7, 3), (1, 1)])
+    def test_bytes_match_per_row_reference(self, elements, beams):
+        mapper = build_phase_mapper(ArrayConfig(element_count=elements, spacing=0.0625, wavelength=0.125), beams)
+        row = row_format(PHASE_TABLE_HEADER, int_columns=("beam_id", "element_id"))
+        chunks = list(phase_table_text(mapper))
+        assert len(chunks) == beams
+        for beam, chunk in enumerate(chunks, start=1):
+            expected = "".join(
+                row.format(beam, m, float(mapper.phases[m - 1, beam - 1])) for m in range(1, elements + 1)
+            )
+            assert chunk == expected
+            assert chunk.count("\n") == elements
+
+    def test_element_one_keeps_the_sign_of_zero(self):
+        # np.outer gives element 1 the phase 0 * (-k d cos(centre)): -0.0 where cos > 0
+        mapper = build_phase_mapper(CFG8, 8)
+        cosines = np.cos(mapper.beam_centers)
+        assert cosines[0] > 0 > cosines[-1]
+        chunks = list(phase_table_text(mapper))
+        assert chunks[0].startswith("1,1,-0\n")
+        assert chunks[-1].startswith("8,1,0\n")
 
 
 class TestCsvRoundTrip:

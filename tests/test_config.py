@@ -118,6 +118,12 @@ class TestRejections:
         with pytest.raises(ConfigError, match="line 2.*'eta_list'.*empty list"):
             load_config(write(tmp_path, f"eta = 1\neta_list = {value}\n"))
 
+    @pytest.mark.parametrize("value", ["", "  ", "# nothing"])
+    def test_empty_text_value_reports_line(self, tmp_path, value):
+        # an empty out_dir used to send every file into the working directory
+        with pytest.raises(ConfigError, match="line 2: empty value for 'out_dir'"):
+            load_config(write(tmp_path, f"eta = 1\nout_dir = {value}\n"))
+
     @pytest.mark.parametrize("value", ["0.7,,0.9", "0.7, ,0.9", "0.7,0.9,", ",0.7"])
     def test_empty_list_entry_reports_line(self, tmp_path, value):
         # an empty entry used to be dropped

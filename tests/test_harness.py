@@ -215,6 +215,37 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"config error: {key}=")
         assert not out.exists()
 
+    def test_empty_out_dir_in_config_exit_code(self, tmp_path, monkeypatch, capsys):
+        # used to exit 0, write into the working directory and print "wrote /tradeoff.csv"
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("tradeoff_grid_size = 5\nout_dir =\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["--config", str(cfg), "tradeoff"]) == 2
+        assert capsys.readouterr().err == "config error: line 2: empty value for 'out_dir'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+
+    def test_empty_out_flag_exit_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", "", "tradeoff"])
+        assert exc.value.code == 2
+        assert "--out must name a directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_naming_a_file_exit_code(self, tmp_path, capsys):
+        # used to die with a FileExistsError traceback
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["--out", str(out), "tradeoff"]) == 2
+        assert capsys.readouterr().err.startswith("cannot write output: ")
+        assert out.read_text() == ""
+
+    def test_reports_written_path_under_out_dir(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("tradeoff_grid_size = 5\n")
+        assert main(["--config", str(cfg), "--out", f"{tmp_path / 'o'}/", "tradeoff"]) == 0
+        assert capsys.readouterr().out == f"wrote {tmp_path / 'o' / 'tradeoff.csv'} (5 rows)\n"
+
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.cfg"), "tradeoff"]) == 2
 
