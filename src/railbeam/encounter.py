@@ -126,7 +126,8 @@ class _Train(NamedTuple):
     whole: float  # over its serving window
     solo: float  # over the part of that window where it is served alone
     shared: float  # over the overlap [0, overlap_end]
-    rmax: float  # single_train_rmax
+    snr: float  # solo SNR c_i: the whole budget spent on channel inversion alone
+    rmax: float  # single_train_rmax, log2(1 + snr)
 
 
 def _train(sc: EncounterScenario, train: int) -> _Train:
@@ -138,8 +139,24 @@ def _train(sc: EncounterScenario, train: int) -> _Train:
     cum = CumulativeIntegral(base, sc.speed, shift, sc.path_loss_exponent)
     # whole, solo and shared in one array call (same bits as three)
     whole, solo, shared = cum.between([a, alone[0], 0.0], [b, alone[1], t_ov]).tolist()
-    inv = sc.noise_power * whole / weight
-    return _Train(cum, weight, whole, solo, shared, math.log1p(sc.power_budget / inv) / LN2)
+    snr = sc.power_budget / (sc.noise_power * whole / weight)
+    return _Train(cum, weight, whole, solo, shared, snr, math.log1p(snr) / LN2)
+
+
+def _shares(sc: EncounterScenario, one: _Train, two: _Train) -> Callable[[np.ndarray], tuple]:
+    """``shares(lam) -> (x1, g2, dx1, dg2)``: the solves' only reading of the decode-first split.
+
+    ``x1`` is train 1's share of its window integral before the split ``t = lam*L/v``, ``g2``
+    train 2's share between it and the overlap end, ``dx1`` and ``dg2`` their slopes in ``lam``.
+    """
+    dt = sc.half_coverage / sc.speed  # dt/dlam
+
+    def shares(lam):
+        t = lam * sc.half_coverage / sc.speed  # overlap_end's order: lam = 2 - eta lands on it
+        x1, g2 = one.cum.between(0.0, t) / one.whole, two.cum.between(t, sc.overlap_end) / two.whole
+        return x1, g2, one.cum.gain(t) * dt / one.whole, -two.cum.gain(t) * dt / two.whole
+
+    return shares
 
 
 _MAX_ITERATIONS = 100
@@ -319,56 +336,40 @@ class AllocationProfile:
 def _allocate(sc: EncounterScenario, rate_2: np.ndarray, one: _Train, two: _Train) -> tuple[np.ndarray, ...]:
     """``(rate_1, rate_2, split_parameter, h2_budget_slack)`` at each of ``rate_2``.
 
-    ``no_priority_allocation`` for a whole batch, on the trains' fixed window
-    integrals ``one`` and ``two``; train 2's solo maximum clips ``rate_2``.
+    ``no_priority_allocation`` for a batch; train 2's solo maximum clips ``rate_2``. With
+    ``z_i = 2**R_i - 1``, train 1's budget binds at ``z1 = c1/(1 + z2*x1)`` and train 2 uses
+    ``z2*(1 + z1*g2)/c2`` of its own (solo SNRs ``c_i`` from ``_train``, the rest from ``_shares``).
     """
-    r_max_2 = two.rmax
     if not np.all(rate_2 >= 0.0):
         raise InfeasibleRateError("rate_2 must be >= 0")
-    if not np.all(rate_2 <= r_max_2 * (1.0 + 1e-9)):
-        raise InfeasibleRateError(f"rate_2={rate_2.max():.6g} exceeds the solo maximum {r_max_2:.6g}")
-    rate_2 = np.minimum(rate_2, r_max_2)
-    span = 2.0 - sc.entry_offset
-
-    (cum1, w1, _, solo1, full1, _), (cum2, w2, _, solo2, full2, _) = one, two
-    noise, budget, t_ov = sc.noise_power, sc.power_budget, sc.overlap_end
-    boost2 = 2.0**rate_2
-
-    def inverse_1(t, boost2):
-        early1 = cum1.between(0.0, t)
-        return noise * (solo1 + boost2 * early1 + (full1 - early1)) / w1
-
-    def h2_usage(t, rate_1, boost2):
-        late2 = cum2.between(t, t_ov)
-        weighted = solo2 + (full2 - late2) + 2.0**rate_1 * late2
-        return (boost2 - 1.0) * noise * weighted / (w2 * budget), late2, weighted
-
-    rate_1 = np.log1p(budget / inverse_1(0.0, boost2)) / LN2
-    split = np.zeros_like(rate_2)
-    if t_ov <= 0.0:
+    if not np.all(rate_2 <= two.rmax * (1.0 + 1e-9)):
+        raise InfeasibleRateError(f"rate_2={rate_2.max():.6g} exceeds the solo maximum {two.rmax:.6g}")
+    rate_2 = np.minimum(rate_2, two.rmax)
+    rate_1, split = np.full(rate_2.shape, one.rmax), np.zeros_like(rate_2)
+    if sc.overlap_end <= 0.0:
         return rate_1, rate_2, split, np.ones(rate_2.shape, dtype=bool)
-    usage_at_zero = h2_usage(0.0, rate_1, boost2)[0]
+    c1, c2, shares = one.snr, two.snr, _shares(sc, one, two)
+    z = 2.0**rate_2 - 1.0
+    # at split 0 train 1 is never decoded first (x1 = 0) and keeps its solo rate
+    usage_at_zero = z * (1.0 + c1 * shares(0.0)[1]) / c2
     slack = (rate_2 == 0.0) | (usage_at_zero <= 1.0)
     bound = np.flatnonzero(~slack)
-    boost = boost2[bound]
+    z = z[bound]
 
     def log_usage(lam, i):
-        # d log usage/dt = (ds*late2 - s*g2) / weighted with s = budget/inv = 2**rate_1 - 1,
-        # ds = -s * dinv/inv and dinv = noise*(boost - 1)*g1/w1, where g_i is train i's path
-        # gain at the split t: no integral is taken. dt/dlam = L/v.
-        t, b = lam * sc.half_coverage / sc.speed, boost[i]
-        inv = inverse_1(t, b)
-        usage, late2, weighted = h2_usage(t, np.log1p(budget / inv) / LN2, b)
-        d_inv = noise * (b - 1.0) * cum1.gain(t) / w1
-        slope = -budget / inv * (d_inv / inv * late2 + cum2.gain(t)) / weighted
-        return np.log(usage), slope * sc.half_coverage / sc.speed
+        x1, g2, dx1, dg2 = shares(lam)
+        z2 = z[i]
+        z1 = c1 / (1.0 + z2 * x1)
+        # dz1 = -z1**2 * z2 * dx1 / c1; no integral is taken
+        return np.log(z2 * (1.0 + z1 * g2) / c2), z1 * (dg2 - z1 * z2 * dx1 * g2 / c1) / (1.0 + z1 * g2)
 
     # Train 2's usage at the far end is 1 only at its solo maximum; rounding
     # may leave it a hair above, and then the split sits at the end.
+    span = 2.0 - sc.entry_offset
     at_end = log_usage(span, np.arange(bound.size))[0]
     lam = _newton(log_usage, 0.0, span, np.log(usage_at_zero[bound]), at_end, 1e-14)
     split[bound] = lam
-    rate_1[bound] = np.log1p(budget / inverse_1(lam * sc.half_coverage / sc.speed, boost)) / LN2
+    rate_1[bound] = np.log1p(c1 / (1.0 + z * shares(lam)[0])) / LN2
     return rate_1, rate_2, split, slack
 
 
@@ -412,29 +413,22 @@ def tfds_baseline(sc: EncounterScenario, grid_size: int) -> RateRegion:
 def _common_rates(sc: EncounterScenario, one: _Train, two: _Train) -> Callable[[np.ndarray], tuple]:
     """Largest rate each train's budget allows when both carry it, against the split.
 
-    Fix the split; let ``x1`` be the share of train 1's window integral before
-    it, ``g2`` the share of train 2's between it and the overlap end, and
-    ``c_i`` train i's solo SNR. With both rates at ``R`` and ``z = 2**R - 1``,
-    train 1's budget binds when ``z*(1 + z*x1) = c1`` and train 2's when
-    ``z*(1 + z*g2) = c2``; each positive root is taken in a form that does not cancel.
-    ``rates(lam)`` gives both rates and the slope of ``R1 - R2`` in the split, from
-    ``dz/dx = -z**2/(1 + 2*z*x)`` and the path gains at the split.
+    With both rates at ``R``, ``z = 2**R - 1``, solo SNRs ``c_i`` and the split's
+    ``_shares``, train 1's budget binds when ``z*(1 + z*x1) = c1`` and train 2's
+    when ``z*(1 + z*g2) = c2``; each positive root is taken in a form that does not
+    cancel. ``rates(lam)`` gives both rates and the slope of ``R1 - R2`` in the
+    split, from ``dz/dx = -z**2/(1 + 2*z*x)`` and the shares' slopes.
     """
-    (cum1, w1, whole1, *_), (cum2, w2, whole2, *_) = one, two
-    t_ov = sc.overlap_end
-    c1 = sc.power_budget * w1 / (sc.noise_power * whole1)
-    c2 = sc.power_budget * w2 / (sc.noise_power * whole2)
+    c1, c2, shares = one.snr, two.snr, _shares(sc, one, two)
 
     def rates(lam):
-        t_split = lam * sc.half_coverage / sc.speed
-        x1 = cum1.between(0.0, t_split) / whole1
-        g2 = cum2.between(t_split, t_ov) / whole2
+        x1, g2, dx1, dg2 = shares(lam)
         z1 = 2.0 * c1 / (1.0 + np.sqrt(1.0 + 4.0 * c1 * x1))
         z2 = 2.0 * c2 / (1.0 + np.sqrt(1.0 + 4.0 * c2 * g2))
-        # dR/dlam = dz/dx * dx/dlam / ((1+z) ln 2); dx1/dlam = g1/whole1 * L/v, dg2/dlam = -g2/whole2 * L/v
-        d1 = z1**2 / (1.0 + 2.0 * z1 * x1) * cum1.gain(t_split) / (whole1 * (1.0 + z1))
-        d2 = z2**2 / (1.0 + 2.0 * z2 * g2) * cum2.gain(t_split) / (whole2 * (1.0 + z2))
-        return np.log1p(z1) / LN2, np.log1p(z2) / LN2, -(d1 + d2) * sc.half_coverage / (sc.speed * LN2)
+        # dR/dlam = dz/dx * dx/dlam / ((1 + z) ln 2)
+        d1 = z1**2 / (1.0 + 2.0 * z1 * x1) * dx1 / (1.0 + z1)
+        d2 = z2**2 / (1.0 + 2.0 * z2 * g2) * dg2 / (1.0 + z2)
+        return np.log1p(z1) / LN2, np.log1p(z2) / LN2, (d2 - d1) / LN2
 
     return rates
 

@@ -182,6 +182,8 @@ def run_experiment(
     """Run one named experiment, returning the manifest written next to it."""
     if experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r}")
+    if not str(out_dir):
+        raise ValueError("out_dir must name a directory")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files, notes = EXPERIMENTS[experiment](cfg)

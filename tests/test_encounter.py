@@ -701,6 +701,41 @@ class TestRateRegion:
         with pytest.raises(ValueError):
             rate_region(scenario(), 1)
 
+    def test_flat_part_is_the_solo_rate(self):
+        # R2 = 0 and every slack point carry train 1's solo maximum itself, not
+        # a restatement of it that rounds differently
+        rng = random.Random(2525)
+        slack = 0
+        for _ in range(200):
+            sc = scenario(
+                eta=rng.uniform(0.0, 2.0),
+                p0=10.0 ** ((rng.uniform(37.0, 47.0) - 30.0) / 10.0),
+                alpha0=rng.uniform(2.0, 5.0),
+            )
+            solo = single_train_rmax(sc, 1)
+            region = rate_region(sc, 5)
+            assert region.pairs[0][0] == solo
+            r_max_2 = single_train_rmax(sc, 2)
+            for fraction in (0.0, 0.001, 0.01, 0.03, 0.1, 0.25):
+                rate_1, _, profile = no_priority_allocation(sc, fraction * r_max_2)
+                if profile.h2_budget_slack:
+                    slack += 1
+                    assert rate_1 == solo, (sc, fraction)
+        assert slack >= 800
+
+    def test_split_shares_vanish_at_the_overlap_ends(self):
+        # the split's time is lam*L/v in overlap_end's order, so lam = 2 - eta is overlap_end
+        rng = random.Random(2526)
+        for _ in range(200):
+            sc = dataclasses.replace(
+                scenario(eta=rng.uniform(0.0, 2.0)),
+                half_coverage=rng.uniform(200.0, 1500.0),
+                speed=rng.uniform(20.0, 150.0),
+            )
+            shares = encounter._shares(sc, encounter._train(sc, 1), encounter._train(sc, 2))
+            assert shares(0.0)[0] == 0.0
+            assert shares(2.0 - sc.entry_offset)[1] == 0.0, sc
+
     def test_grid_point_has_the_bits_of_a_lone_solve(self):
         sc = scenario(eta=0.8, alpha0=3.5)
         region = rate_region(sc, 1001)

@@ -63,6 +63,13 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(small_cfg, "mystery", tmp_path)
 
+    def test_empty_out_dir_rejected_before_any_file_is_written(self, small_cfg, tmp_path, monkeypatch):
+        # Path("") is ".": it used to write tradeoff.csv and its manifest into the working directory
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match="out_dir must name a directory"):
+            run_experiment(small_cfg, "tradeoff", "")
+        assert list(tmp_path.iterdir()) == [tmp_path / "small.cfg"]
+
     def test_byte_determinism(self, small_cfg, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for name in ("tradeoff", "d-vs-theta", "rate-region", "symmetric"):
