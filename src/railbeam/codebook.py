@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -130,26 +130,30 @@ def array_factor(
     return float(np.abs(np.sum(amplitudes * vec)) ** 2) / total**2
 
 
-def _selector(cfg: ArrayConfig, beam_count: int) -> Callable[[float], int]:
-    """``select_beam``'s rule as ``theta_b -> beam id``; the count check,
-    coverage interval and cell grid are taken once, not per angle."""
-    _, lo, hi, locate = _grid(cfg, beam_count)
+def _samples(trajectory: list[tuple[float, float]], cfg: ArrayConfig, beam_count: int) -> tuple:
+    """``simulate_traverse``'s samples; ``select_beam`` reads its rule through a one-fix trajectory."""
+    width, lo, hi, origin, half, _ = _grid(cfg, beam_count)
+    if trajectory and not (math.isfinite(trajectory[0][0]) and math.isfinite(trajectory[-1][0])):
+        raise ValueError("trajectory times must be finite")
+    samples, new, last_t, last_beam = [], tuple.__new__, -math.inf, None
+    for t, theta in trajectory:
+        if not t > last_t:  # nan fails too: between finite ends every time is finite
+            raise ValueError("trajectory times must be strictly increasing")
+        if lo <= theta < hi:
+            raw = math.floor((theta - origin) / width) + half  # _grid's locate, inline
+            beam = 1 if raw < 0 else beam_count if raw >= beam_count else raw + 1
+        elif theta >= hi:
+            beam = 1
+        elif theta < lo:
+            raise NotYetEnteredError(f"theta_b={theta:.6g} precedes coverage start {lo:.6g}")
+        else:
+            beam = beam_index(theta, cfg, beam_count)  # NaN: beam_index's OutOfCoverageError
+        samples.append(new(TraverseSample, (t, theta, beam, last_beam is not None and beam != last_beam)))
+        last_t, last_beam = t, beam
+    return tuple(samples)
 
-    def beam_id(theta_b: float) -> int:
-        if lo <= theta_b < hi:
-            return locate(theta_b)[0] + 1
-        if theta_b < lo:
-            raise NotYetEnteredError(f"theta_b={theta_b:.6g} precedes coverage start {lo:.6g}")
-        if theta_b >= hi:
-            return 1
-        return beam_index(theta_b, cfg, beam_count)  # NaN: beam_index's OutOfCoverageError
 
-    return beam_id
-
-
-def select_beam(
-    theta_b: float, mapper: PhaseMapper, cfg: ArrayConfig
-) -> tuple[int, np.ndarray]:
+def select_beam(theta_b: float, mapper: PhaseMapper, cfg: ArrayConfig) -> tuple[int, np.ndarray]:
     """Beam id and phase column for the station direction ``theta_b``.
 
     Angles past the upper coverage edge reset to beam 1 (ready for the
@@ -158,7 +162,7 @@ def select_beam(
     ``geometry.beam_index``'s, from the same cell grid: a direction exactly
     on a shared cell boundary belongs to the higher-indexed cell.
     """
-    beam = _selector(cfg, mapper.beam_count)(theta_b)
+    beam = _samples([(0.0, theta_b)], cfg, mapper.beam_count)[0].beam_id
     return beam, mapper.phases[:, beam - 1]
 
 
@@ -169,20 +173,10 @@ def simulate_traverse(
 
     Times must be finite and strictly increasing. ``switched`` marks samples
     whose beam differs from the previous one; an empty trajectory yields an
-    empty log.
+    empty log; the first faulty fix decides the error. The cell grid is read
+    once, and each fix takes ``select_beam``'s rule inline, with no Python call.
     """
-    beam_id = _selector(cfg, mapper.beam_count)
-    if trajectory and not (math.isfinite(trajectory[0][0]) and math.isfinite(trajectory[-1][0])):
-        raise ValueError("trajectory times must be finite")
-    samples: list[TraverseSample] = []
-    last = None
-    for t, theta in trajectory:
-        if samples and not t > last.time:  # nan fails too: between finite ends every time is finite
-            raise ValueError("trajectory times must be strictly increasing")
-        beam = beam_id(theta)
-        last = TraverseSample(t, theta, beam, bool(samples) and beam != last.beam_id)
-        samples.append(last)
-    return TraverseLog(samples=tuple(samples))
+    return TraverseLog(samples=_samples(trajectory, cfg, mapper.beam_count))
 
 
 def phase_table_text(mapper: PhaseMapper) -> Iterator[str]:

@@ -354,6 +354,8 @@ def _allocate(sc: EncounterScenario, rate_2: np.ndarray, one: _Train, two: _Trai
     usage_at_zero = z * (1.0 + c1 * shares(0.0)[1]) / c2
     slack = (rate_2 == 0.0) | (usage_at_zero <= 1.0)
     bound = np.flatnonzero(~slack)
+    if not bound.size:  # every point slack: no split to solve for
+        return rate_1, rate_2, split, slack
     z = z[bound]
 
     def log_usage(lam, i):

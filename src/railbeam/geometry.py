@@ -150,17 +150,21 @@ def directivity(cfg: ArrayConfig, beam_count: int) -> float:
 
 def index_offset(theta_b: float, cfg: ArrayConfig, beam_count: int) -> int:
     """Signed cell offset of ``theta_b`` from broadside (floor convention)."""
-    width = beamwidth(cfg, beam_count)
+    return _offset(theta_b, beamwidth(cfg, beam_count))
+
+
+def _offset(theta_b: float, width: float) -> int:
     return math.floor((2.0 * theta_b - math.pi) / (2.0 * width))
 
 
-def _grid(cfg: ArrayConfig, beam_count: int) -> tuple[float, float, float, Callable]:
-    """The package's one cell grid: ``(width, lo, hi, locate)`` for ``beam_count`` cells.
+def _grid(cfg: ArrayConfig, beam_count: int) -> tuple[float, float, float, float, int, Callable]:
+    """The package's one cell grid: ``(width, lo, hi, origin, half, locate)`` for ``beam_count`` cells.
 
-    ``(lo, hi)`` is ``coverage_interval``. ``locate(theta)`` gives the 0-based
-    cell holding ``theta``, clamped to [0, N-1], and its lower edge. Even counts
-    anchor the grid at broadside, odd counts at ``lo``; both refine dyadically
-    when the count doubles. All of it is taken once per grid, not per angle.
+    ``(lo, hi)`` is ``coverage_interval``. ``theta`` lies in cell ``floor((theta - origin)/width)
+    + half``, clamped to [0, N-1]; ``locate(theta)`` gives it and its lower edge, and the codebook's
+    traverse loop writes the same floor and clamp inline. Even counts anchor the grid at broadside,
+    odd counts at ``lo``; both refine dyadically when the count doubles. All of it is taken once
+    per grid, not per angle.
     """
     width = beamwidth(cfg, beam_count)
     lo, hi = coverage_interval(cfg)
@@ -177,7 +181,7 @@ def _grid(cfg: ArrayConfig, beam_count: int) -> tuple[float, float, float, Calla
         cell = 0 if raw < 0 else beam_count - 1 if raw >= beam_count else raw
         return cell, origin + (cell - half) * width
 
-    return width, lo, hi, locate
+    return width, lo, hi, origin, half, locate
 
 
 def beam_index(theta_b: float, cfg: ArrayConfig, beam_count: int) -> int:
@@ -187,11 +191,9 @@ def beam_index(theta_b: float, cfg: ArrayConfig, beam_count: int) -> int:
     midpoint); an angle on a shared cell edge belongs to the higher beam,
     and the upper coverage edge to beam N.
     """
-    _, lo, hi, locate = _grid(cfg, beam_count)
+    _, lo, hi, _, _, locate = _grid(cfg, beam_count)
     if not lo <= theta_b <= hi:
-        raise OutOfCoverageError(
-            f"theta_b={theta_b:.6g} outside coverage [{lo:.6g}, {hi:.6g}]"
-        )
+        raise OutOfCoverageError(f"theta_b={theta_b:.6g} outside coverage [{lo:.6g}, {hi:.6g}]")
     return locate(theta_b)[0] + 1
 
 
@@ -204,9 +206,26 @@ def rail_coordinate(theta: float, perpendicular_distance: float) -> float:
     return perpendicular_distance / math.tan(theta)
 
 
-def beam_bounds_on_rail(
-    geo: RailGeometry, cfg: ArrayConfig, beam_count: int
-) -> tuple[float, float, float]:
+def _rail_sine(theta_b: float, lo: float, hi: float) -> float:
+    """``sin(theta_b)``, once ``theta_b`` is known to lie in the open coverage ``(lo, hi)``."""
+    if not lo < theta_b < hi:
+        raise OutOfCoverageError(f"theta_b={theta_b:.6g} outside open coverage ({lo:.6g}, {hi:.6g})")
+    s = math.sin(theta_b)
+    if s < 1e-15:
+        raise SingularGeometryError("sin(theta_b) vanishes, no rail projection")
+    return s
+
+
+def _rail_cell(geo: RailGeometry, width: float, locate: Callable, s: float) -> tuple[int, float, float]:
+    """``(cell, left, right)``: the cell holding the relay's angle, of sine ``s``, and its rail bounds."""
+    theta_b, d0 = geo.train_angle, geo.perpendicular_distance
+    cell, edge_low = locate(theta_b)
+    left = max((theta_b - edge_low) * d0 / s, 0.0)
+    right = max((edge_low + width - theta_b) * d0 / s, 0.0)
+    return cell, left, right
+
+
+def beam_bounds_on_rail(geo: RailGeometry, cfg: ArrayConfig, beam_count: int) -> tuple[float, float, float]:
     """Rail distances from the station to the serving beam's edges.
 
     Returns ``(left, right, total)`` in meters, ``left`` toward the lower
@@ -215,33 +234,17 @@ def beam_bounds_on_rail(
     The rail projection ``rail_coordinate`` fixes which edge lies on which
     side of the station.
     """
-    width, lo, hi, locate = _grid(cfg, beam_count)
-    theta_b = geo.train_angle
-    if not lo < theta_b < hi:
-        raise OutOfCoverageError(
-            f"theta_b={theta_b:.6g} outside open coverage ({lo:.6g}, {hi:.6g})"
-        )
-    s = math.sin(theta_b)
-    if s < 1e-15:
-        raise SingularGeometryError("sin(theta_b) vanishes, no rail projection")
-    _, edge_low = locate(theta_b)
-    edge_high = edge_low + width
-    d0 = geo.perpendicular_distance
-    left = max((theta_b - edge_low) * d0 / s, 0.0)
-    right = max((edge_high - theta_b) * d0 / s, 0.0)
+    width, lo, hi, _, _, locate = _grid(cfg, beam_count)
+    _, left, right = _rail_cell(geo, width, locate, _rail_sine(geo.train_angle, lo, hi))
     return left, right, left + right
 
 
 def beam_geometry(cfg: ArrayConfig, geo: RailGeometry, beam_count: int) -> BeamGeometry:
-    """Bundle the per-beam figures for one beam count and relay position."""
-    left, right, total = beam_bounds_on_rail(geo, cfg, beam_count)
+    """Bundle the per-beam figures for one beam count and relay position, all from one grid."""
+    width, lo, hi, _, _, locate = _grid(cfg, beam_count)
+    cell, left, right = _rail_cell(geo, width, locate, _rail_sine(geo.train_angle, lo, hi))
     return BeamGeometry(
-        beam_count=beam_count,
-        beamwidth=beamwidth(cfg, beam_count),
-        directivity=directivity(cfg, beam_count),
-        beam_index=beam_index(geo.train_angle, cfg, beam_count),
-        index_offset=index_offset(geo.train_angle, cfg, beam_count),
-        left_bound=left,
-        right_bound=right,
-        coverage_length=total,
+        beam_count=beam_count, beamwidth=width, directivity=directivity(cfg, beam_count),
+        beam_index=cell + 1, index_offset=_offset(geo.train_angle, width),
+        left_bound=left, right_bound=right, coverage_length=left + right,
     )

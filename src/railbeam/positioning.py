@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import ArrayConfig, RailGeometry, _check_finite, beam_bounds_on_rail, directivity
+from .geometry import ArrayConfig, RailGeometry, _check_finite, _grid, _rail_cell, _rail_sine, directivity
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -64,11 +64,6 @@ def effective_probability(left_bound: float, right_bound: float, sigma: float) -
     return 1.0 - 0.5 * (gaussian_tail(left_bound / sigma) + gaussian_tail(right_bound / sigma))
 
 
-def _probability_at(cfg: ArrayConfig, geo: RailGeometry, sigma: float, beam_count: int) -> float:
-    left, right, _ = beam_bounds_on_rail(geo, cfg, beam_count)
-    return effective_probability(left, right, sigma)
-
-
 def search_beam_count(
     cfg: ArrayConfig, geo: RailGeometry, model: PositioningModel
 ) -> SearchResult:
@@ -81,17 +76,19 @@ def search_beam_count(
     with that count.
     """
     if model.max_beam_count > cfg.element_count:
-        raise ValueError(
-            f"max_beam_count {model.max_beam_count} exceeds element_count "
-            f"{cfg.element_count}"
-        )
-    sigma = model.error_stddev
-    n, prob = 1, _probability_at(cfg, geo, sigma, 1)
-    if prob < model.threshold:
-        return SearchResult(1, prob, directivity(cfg, 1), False)
-    while 2 * n <= model.max_beam_count:
-        doubled = _probability_at(cfg, geo, sigma, 2 * n)
-        if doubled < model.threshold:
+        raise ValueError(f"max_beam_count {model.max_beam_count} exceeds element_count {cfg.element_count}")
+    width, lo, hi, _, _, locate = _grid(cfg, 1)  # the first level; coverage and sine are checked once
+    s, sigma = _rail_sine(geo.train_angle, lo, hi), model.error_stddev
+    n, count, prob = 1, 1, None
+    while True:
+        _, left, right = _rail_cell(geo, width, locate, s)
+        p = effective_probability(left, right, sigma)
+        if p < model.threshold:
             break
-        n, prob = 2 * n, doubled
+        n, count, prob = count, 2 * count, p
+        if count > model.max_beam_count:
+            break
+        width, _, _, _, _, locate = _grid(cfg, count)  # one grid per ladder level
+    if prob is None:
+        return SearchResult(1, p, directivity(cfg, 1), False)
     return SearchResult(n, prob, directivity(cfg, n), True)

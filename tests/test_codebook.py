@@ -28,10 +28,14 @@ from railbeam.geometry import (
     ArrayConfig,
     OutOfCoverageError,
     RailGeometry,
+    SingularGeometryError,
     beam_bounds_on_rail,
+    beam_geometry,
     beam_index,
     beamwidth,
     coverage_interval,
+    directivity,
+    index_offset,
     total_coverage,
     wavelength_from_frequency,
 )
@@ -285,6 +289,37 @@ class TestGeometryAgreement:
         assert select_beam(hi, mapper, CFG128)[0] == 1
 
 
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["dyadic", "2.4GHz"])
+    @pytest.mark.parametrize("n", [1, 3, 7, 32, 64, 128])
+    def test_beam_geometry_is_its_public_parts(self, cfg, n):
+        lo, hi = coverage_interval(cfg)
+        thetas = [t for t in TestTraverse.edge_angles(cfg, n) if lo < t < hi]
+        assert len(thetas) >= n
+        for theta in thetas:
+            geo = RailGeometry(50.0, 20.0, theta)
+            got = beam_geometry(cfg, geo, n)
+            assert (got.beam_count, got.beamwidth) == (n, beamwidth(cfg, n))
+            assert got.directivity == directivity(cfg, n)
+            assert got.beam_index == beam_index(theta, cfg, n), (n, theta)
+            assert got.index_offset == index_offset(theta, cfg, n), (n, theta)
+            bounds = (got.left_bound, got.right_bound, got.coverage_length)
+            assert bounds == beam_bounds_on_rail(geo, cfg, n), (n, theta)
+
+    def test_beam_geometry_error_precedence(self):
+        # the count, then the open coverage, then the singular sine
+        lo, _ = coverage_interval(CFG128)
+        with pytest.raises(ValueError, match="exceeds element_count") as info:
+            beam_geometry(CFG128, RailGeometry(50.0, 20.0, lo - 0.1), 129)
+        assert not isinstance(info.value, OutOfCoverageError)
+        wide = ArrayConfig(element_count=8, spacing=0.03, wavelength=0.125)  # coverage above pi
+        lo, _ = coverage_interval(wide)
+        assert lo < 0.0
+        with pytest.raises(OutOfCoverageError):
+            beam_geometry(wide, RailGeometry(50.0, 20.0, lo - 0.1), 4)
+        with pytest.raises(SingularGeometryError):
+            beam_geometry(wide, RailGeometry(50.0, 20.0, 0.0), 4)
+
+
 class TestTraverse:
     def test_empty_trajectory(self):
         mapper = build_phase_mapper(CFG8, 8)
@@ -385,6 +420,38 @@ class TestTraverse:
             with pytest.raises(NotYetEnteredError) as info:
                 simulate_traverse(trajectory, mapper, CFG64)
             assert str(info.value) == f"theta_b={below:.6g} precedes coverage start {lo:.6g}"
+
+    def test_first_faulty_fix_decides_the_error(self):
+        mapper = build_phase_mapper(CFG64, 64)
+        lo, _ = coverage_interval(CFG64)
+        below = float(np.nextafter(lo, -np.inf))
+        # at one fix the time check comes before the angle's
+        with pytest.raises(ValueError, match="strictly increasing") as info:
+            simulate_traverse([(0.0, 1.2), (0.0, below)], mapper, CFG64)
+        assert not isinstance(info.value, NotYetEnteredError)
+        with pytest.raises(NotYetEnteredError):
+            simulate_traverse([(0.0, below), (0.0, 1.2)], mapper, CFG64)
+
+    @pytest.mark.parametrize("n", [1, 3, 64])
+    def test_sample_field_types(self, n):
+        mapper = build_phase_mapper(CFG64, n)
+        thetas = self.edge_angles(CFG64, n)
+        log = simulate_traverse([(0.5 * i, t) for i, t in enumerate(thetas)], mapper, CFG64)
+        assert len(log.samples) == len(thetas)
+        for s in log.samples:
+            assert type(s) is TraverseSample
+            assert type(s.beam_id) is int and type(s.switched) is bool
+
+    def test_select_beam_error_messages(self):
+        mapper = build_phase_mapper(CFG64, 64)
+        lo, hi = coverage_interval(CFG64)
+        below = float(np.nextafter(lo, -np.inf))
+        with pytest.raises(NotYetEnteredError) as info:
+            select_beam(below, mapper, CFG64)
+        assert str(info.value) == f"theta_b={below:.6g} precedes coverage start {lo:.6g}"
+        with pytest.raises(OutOfCoverageError) as info:
+            select_beam(math.nan, mapper, CFG64)
+        assert str(info.value) == f"theta_b=nan outside coverage [{lo:.6g}, {hi:.6g}]"
 
     def test_requires_increasing_times(self):
         mapper = build_phase_mapper(CFG8, 8)

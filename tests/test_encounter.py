@@ -249,6 +249,13 @@ class TestNoPriorityAllocation:
         for t in (0.0, 2.0, 9.0, 15.0):
             assert profile.excitation(2, t) == 0.0
 
+    def test_all_slack_batch_solves_nothing(self, between_calls):
+        # one fixed-window call per train, then x1 and g2 at split 0 decide that
+        # every point is slack; no usage at the far end, no final shares
+        rate_1, lam, _ = no_priority_allocation(load_config(None).encounter_scenario(eta=0.8), 0.0)
+        assert len(between_calls) == 4
+        assert lam == 0.0
+
     def test_no_overlap_keeps_solo_rate_everywhere(self):
         sc = scenario(eta=2.0)
         solo = single_train_rmax(sc, 1)

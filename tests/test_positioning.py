@@ -4,10 +4,18 @@ from dataclasses import fields, replace
 
 import pytest
 
-from railbeam.geometry import ArrayConfig, RailGeometry, beam_bounds_on_rail, coverage_interval
+from railbeam.geometry import (
+    ArrayConfig,
+    OutOfCoverageError,
+    RailGeometry,
+    beam_bounds_on_rail,
+    coverage_interval,
+    directivity,
+)
 from railbeam.numerics import adaptive_simpson
 from railbeam.positioning import (
     PositioningModel,
+    SearchResult,
     effective_probability,
     gaussian_tail,
     search_beam_count,
@@ -110,6 +118,20 @@ def exhaustive_doubling(cfg, geo, mdl):
     return best, best_prob, True
 
 
+def ladder_reference(cfg, geo, mdl):
+    """The search as a walk over public per-count calls, stopping at the first miss."""
+
+    def prob(n):
+        return effective_probability(*beam_bounds_on_rail(geo, cfg, n)[:2], mdl.error_stddev)
+
+    n, p = 1, prob(1)
+    if p < mdl.threshold:
+        return SearchResult(1, p, directivity(cfg, 1), False)
+    while 2 * n <= mdl.max_beam_count and prob(2 * n) >= mdl.threshold:
+        n, p = 2 * n, prob(2 * n)
+    return SearchResult(n, p, directivity(cfg, n), True)
+
+
 class TestSearch:
     def test_vanishing_error_takes_the_cap(self):
         geo = RailGeometry(50.0, 20.0, 1.2)
@@ -152,6 +174,24 @@ class TestSearch:
             n, prob, feasible = exhaustive_doubling(CFG, geo, mdl)
             assert got.optimal_beam_count == n
             assert got.feasible == feasible
+
+    @pytest.mark.parametrize("cap", [128, 100, 1])
+    def test_matches_per_count_reference_exactly(self, cap):
+        rng = random.Random(26)
+        lo, hi = coverage_interval(CFG)
+        feasible = 0
+        for _ in range(200):
+            geo = RailGeometry(rng.uniform(5.0, 150.0), 20.0, rng.uniform(lo + 1e-4, hi - 1e-4))
+            mdl = model(sigma=10.0 ** rng.uniform(-2.0, 1.5), threshold=rng.uniform(0.5, 0.99), cap=cap)
+            got = search_beam_count(CFG, geo, mdl)
+            assert got == ladder_reference(CFG, geo, mdl), (geo, mdl)
+            feasible += got.feasible
+        assert 0 < feasible < 200
+
+    def test_cap_is_checked_before_the_coverage(self):
+        with pytest.raises(ValueError, match="exceeds element_count") as info:
+            search_beam_count(CFG, RailGeometry(50.0, 20.0, math.pi / 6), model(cap=256))
+        assert not isinstance(info.value, OutOfCoverageError)
 
     def test_probability_monotone_along_doubling(self):
         rng = random.Random(21)
