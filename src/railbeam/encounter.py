@@ -110,51 +110,71 @@ class RateRegion:
     pairs: tuple[tuple[float, float], ...]
 
 
+def _row(train: int) -> int:
+    """The train's row in ``_trains``: 0 for train 1, 1 for train 2."""
+    if train not in (1, 2):
+        raise ValueError("train must be 1 or 2")
+    return train - 1
+
+
 def _serving_window(sc: EncounterScenario, train: int) -> tuple[float, float]:
-    if train == 1:
-        return sc.entry_time, sc.overlap_end
-    if train == 2:
-        return 0.0, sc.exit_time
-    raise ValueError("train must be 1 or 2")
+    return (sc.entry_time, sc.overlap_end) if _row(train) == 0 else (0.0, sc.exit_time)
 
 
-class _Train(NamedTuple):
-    """One train's path-gain integral and beam weight, its fixed window integrals and solo rate."""
+class _Trains(NamedTuple):
+    """Both trains' path-gain integral, one row each, with their fixed window integrals and solo rates.
 
-    cum: CumulativeIntegral
-    weight: float
-    whole: float  # over its serving window
-    solo: float  # over the part of that window where it is served alone
-    shared: float  # over the overlap [0, overlap_end]
-    snr: float  # solo SNR c_i: the whole budget spent on channel inversion alone
-    rmax: float  # single_train_rmax, log2(1 + snr)
+    Every field but ``cum`` is a pair: train 1's value, then train 2's.
+    """
+
+    cum: CumulativeIntegral  # shift column [[shift_1], [shift_2]]
+    weight: tuple[float, float]
+    whole: tuple[float, float]  # over the serving window
+    solo: tuple[float, float]  # over the part of that window where the train is served alone
+    shared: tuple[float, float]  # over the overlap [0, overlap_end]
+    snr: tuple[float, float]  # solo SNR c_i: the whole budget spent on channel inversion alone
+    rmax: tuple[float, float]  # single_train_rmax, log2(1 + snr)
+
+    @property
+    def end_shares(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """``_shares``' ``(x1, g2)`` at split 0 and at the overlap end, read off the fixed integrals.
+
+        Train 1 is never decoded first at split 0 and train 2 never at the overlap end, so
+        one share is exactly 0.0 there and the other is the train's overlap over its window.
+        """
+        return (0.0, self.shared[1] / self.whole[1]), (self.shared[0] / self.whole[0], 0.0)
 
 
-def _train(sc: EncounterScenario, train: int) -> _Train:
-    a, b = _serving_window(sc, train)  # checks the train first
+def _trains(sc: EncounterScenario) -> _Trains:
     base, t_ov = sc.perpendicular_distance**2 + sc.antenna_height**2, sc.overlap_end
-    shift = sc.half_coverage - (sc.entry_offset * sc.half_coverage if train == 1 else 0.0)
-    weight = sc.beam_weight_1 if train == 1 else sc.beam_weight_2
-    alone = (a, 0.0) if train == 1 else (t_ov, b)  # before the overlap, or after it
+    shift = [[sc.half_coverage - sc.entry_offset * sc.half_coverage], [sc.half_coverage]]
     cum = CumulativeIntegral(base, sc.speed, shift, sc.path_loss_exponent)
-    # whole, solo and shared in one array call (same bits as three)
-    whole, solo, shared = cum.between([a, alone[0], 0.0], [b, alone[1], t_ov]).tolist()
-    snr = sc.power_budget / (sc.noise_power * whole / weight)
-    return _Train(cum, weight, whole, solo, shared, snr, math.log1p(snr) / LN2)
+    (a1, b1), (a2, b2) = _serving_window(sc, 1), _serving_window(sc, 2)
+    # whole, solo (before the overlap, or after it) and shared, both trains in one call
+    rows = cum.between([[a1, a1, 0.0], [a2, t_ov, 0.0]], [[b1, 0.0, t_ov], [b2, b2, t_ov]]).tolist()
+    whole, solo, shared = zip(*rows)
+    weight = sc.beam_weight_1, sc.beam_weight_2
+    snr = tuple(sc.power_budget / (sc.noise_power * w / k) for w, k in zip(whole, weight))
+    return _Trains(cum, weight, whole, solo, shared, snr, tuple(math.log1p(c) / LN2 for c in snr))
 
 
-def _shares(sc: EncounterScenario, one: _Train, two: _Train) -> Callable[[np.ndarray], tuple]:
+def _shares(sc: EncounterScenario, trains: _Trains) -> Callable[[np.ndarray], tuple]:
     """``shares(lam) -> (x1, g2, dx1, dg2)``: the solves' only reading of the decode-first split.
 
     ``x1`` is train 1's share of its window integral before the split ``t = lam*L/v``, ``g2``
     train 2's share between it and the overlap end, ``dx1`` and ``dg2`` their slopes in ``lam``.
+    Each call takes one stacked integral and one stacked path gain for both trains; at the
+    overlap ends ``_Trains.end_shares`` gives ``x1`` and ``g2`` with none.
     """
-    dt = sc.half_coverage / sc.speed  # dt/dlam
+    dt, t_ov = sc.half_coverage / sc.speed, sc.overlap_end  # dt/dlam
+    whole = np.array(trains.whole)[:, None]
 
     def shares(lam):
         t = lam * sc.half_coverage / sc.speed  # overlap_end's order: lam = 2 - eta lands on it
-        x1, g2 = one.cum.between(0.0, t) / one.whole, two.cum.between(t, sc.overlap_end) / two.whole
-        return x1, g2, one.cum.gain(t) * dt / one.whole, -two.cum.gain(t) * dt / two.whole
+        lo, hi = np.zeros((2,) + np.shape(t)), np.full((2,) + np.shape(t), t_ov)
+        lo[1] = hi[0] = t  # train 1 over [0, t], train 2 over [t, overlap_end]
+        (x1, g2), (dx1, dg2) = trains.cum.between(lo, hi) / whole, trains.cum.gain(t) * dt / whole
+        return x1, g2, dx1, -dg2
 
     return shares
 
@@ -172,7 +192,8 @@ def _newton(
     ends: after a step that failed to halve ``|f|`` (a cycle, or ``f`` flat on its rounding floor)
     it leaps 16 times that step's length instead, and it bisects where a step would leave the
     bracket. It stops at ``|f| <= tol`` or once the bracket has shrunk to rounding. No element
-    reads another's.
+    reads another's, and each zero is the last point its function was evaluated at (``hi``
+    where it takes no step), so a caller may keep what ``f`` computed there.
     """
     out = np.full(f_lo.shape, hi)
     i = np.flatnonzero((f_hi != 0.0) & ((f_hi > 0.0) != (f_lo > 0.0)))
@@ -186,7 +207,9 @@ def _newton(
         fx, slope = f(x, i)
         size = np.abs(fx)
         done = (size <= tol) | ~((lo < x) & (x < hi))
-        out[i[done]] = x[done]
+        stopped = done.any()
+        if stopped:
+            out[i[done]] = x[done]
         same = (fx > 0.0) == positive
         lo, hi = np.where(same, x, lo), np.where(same, hi, x)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -197,8 +220,9 @@ def _newton(
         ok = (lo < guess) & (guess < hi)
         f_from, last = np.where(ok, size, np.inf), x
         x = np.where(ok, guess, 0.5 * (lo + hi))
-        go = ~done
-        i, x, lo, hi, positive, f_from, last = (v[go] for v in (i, x, lo, hi, positive, f_from, last))
+        if stopped:
+            go = ~done
+            i, x, lo, hi, positive, f_from, last = (v[go] for v in (i, x, lo, hi, positive, f_from, last))
     if i.size:
         raise ConvergenceError(
             f"|f| > {tol:g} after {_MAX_ITERATIONS} steps for {i.size} of {out.size} elements"
@@ -213,13 +237,15 @@ def single_train_rmax(sc: EncounterScenario, train: int) -> float:
     SNR flat, so the pass-long rate is a single logarithm of the inverted
     path-gain integral.
     """
-    return _train(sc, train).rmax
+    row = _row(train)
+    return _trains(sc).rmax[row]
 
 
 def _priority_noise_factor(sc: EncounterScenario, priority_holder: int) -> float:
     """1 + SNR of the priority train over the shared interval."""
-    holder = _train(sc, priority_holder)
-    return 1.0 + sc.power_budget / (sc.noise_power * holder.shared / holder.weight)
+    row = _row(priority_holder)
+    trains = _trains(sc)
+    return 1.0 + sc.power_budget / (sc.noise_power * trains.shared[row] / trains.weight[row])
 
 
 def priority_rate(sc: EncounterScenario, priority_holder: int) -> float:
@@ -232,11 +258,11 @@ def priority_rate(sc: EncounterScenario, priority_holder: int) -> float:
     """
     if priority_holder not in (1, 2):
         raise ValueError("priority_holder must be 1 or 2")
-    other = _train(sc, 1 if priority_holder == 2 else 2)
+    trains, other = _trains(sc), 2 - priority_holder  # the other train's row
     if sc.overlap_end <= 0.0:
-        return other.rmax
+        return trains.rmax[other]
     factor = _priority_noise_factor(sc, priority_holder)
-    inv = sc.noise_power * (factor * other.shared + other.solo) / other.weight
+    inv = sc.noise_power * (factor * trains.shared[other] + trains.solo[other]) / trains.weight[other]
     return math.log1p(sc.power_budget / inv) / LN2
 
 
@@ -264,9 +290,10 @@ class AllocationProfile:
             raise ValueError("split_parameter must be finite")
 
     @cached_property
-    def _trains(self) -> tuple[_Train, _Train]:
-        # excitation runs once per instant; its path gains are built once per profile
-        return _train(self.scenario, 1), _train(self.scenario, 2)
+    def _trains(self) -> _Trains:
+        # excitation runs once per instant and power_use once per train; the path
+        # gains and fixed integrals are built once per profile
+        return _trains(self.scenario)
 
     @property
     def _split_time(self) -> float:
@@ -302,8 +329,8 @@ class AllocationProfile:
         """One train's transmit power over ``p0`` at ``t``: ``snr * noise * d**exponent / weight``."""
         sc = self.scenario
         snr = self.snr(train, t)  # checks train and t before any lookup
-        path = self._trains[train - 1]
-        return snr * path.cum.gain(t) * sc.noise_power / (path.weight * sc.avg_power)
+        trains, row = self._trains, train - 1
+        return snr * trains.cum.gain(t)[row].item() * sc.noise_power / (trains.weight[row] * sc.avg_power)
 
     def mac_slacks(self, t: float) -> tuple[float, float, float]:
         """Slack of the three multiple-access constraints at ``t``.
@@ -321,57 +348,59 @@ class AllocationProfile:
 
     def power_use(self, train: int) -> float:
         """Average-power usage of one train, 1.0 means the budget binds."""
-        sc = self.scenario
-        path = _train(sc, train)
-        coeff = sc.noise_power / (path.weight * sc.avg_power)
+        sc, row = self.scenario, _row(train)
+        trains = self._trains
+        coeff = sc.noise_power / (trains.weight[row] * sc.avg_power)
         t_split = min(max(self._split_time, 0.0), sc.overlap_end)
         # the overlap before and after the split in one array call (same bits as two)
-        early, late = path.cum.between([0.0, t_split], [t_split, sc.overlap_end]).tolist()
+        early, late = trains.cum.between([0.0, t_split], [t_split, sc.overlap_end])[row].tolist()
         own, other = (self.rate_1, self.rate_2) if train == 1 else (self.rate_2, self.rate_1)
         boosted, plain = (early, late) if train == 1 else (late, early)
-        integral = coeff * (2.0**own - 1.0) * (path.solo + plain + boosted * 2.0**other)
+        integral = coeff * (2.0**own - 1.0) * (trains.solo[row] + plain + boosted * 2.0**other)
         return integral * sc.speed / (2.0 * sc.half_coverage)
 
 
-def _allocate(sc: EncounterScenario, rate_2: np.ndarray, one: _Train, two: _Train) -> tuple[np.ndarray, ...]:
+def _allocate(sc: EncounterScenario, rate_2: np.ndarray, trains: _Trains) -> tuple[np.ndarray, ...]:
     """``(rate_1, rate_2, split_parameter, h2_budget_slack)`` at each of ``rate_2``.
 
     ``no_priority_allocation`` for a batch; train 2's solo maximum clips ``rate_2``. With
     ``z_i = 2**R_i - 1``, train 1's budget binds at ``z1 = c1/(1 + z2*x1)`` and train 2 uses
-    ``z2*(1 + z1*g2)/c2`` of its own (solo SNRs ``c_i`` from ``_train``, the rest from ``_shares``).
+    ``z2*(1 + z1*g2)/c2`` of its own (solo SNRs ``c_i`` from ``_trains``, the rest from ``_shares``).
     """
+    (rmax_1, rmax_2), (c1, c2) = trains.rmax, trains.snr
     if not np.all(rate_2 >= 0.0):
         raise InfeasibleRateError("rate_2 must be >= 0")
-    if not np.all(rate_2 <= two.rmax * (1.0 + 1e-9)):
-        raise InfeasibleRateError(f"rate_2={rate_2.max():.6g} exceeds the solo maximum {two.rmax:.6g}")
-    rate_2 = np.minimum(rate_2, two.rmax)
-    rate_1, split = np.full(rate_2.shape, one.rmax), np.zeros_like(rate_2)
+    if not np.all(rate_2 <= rmax_2 * (1.0 + 1e-9)):
+        raise InfeasibleRateError(f"rate_2={rate_2.max():.6g} exceeds the solo maximum {rmax_2:.6g}")
+    rate_2 = np.minimum(rate_2, rmax_2)
+    rate_1, split = np.full(rate_2.shape, rmax_1), np.zeros_like(rate_2)
     if sc.overlap_end <= 0.0:
         return rate_1, rate_2, split, np.ones(rate_2.shape, dtype=bool)
-    c1, c2, shares = one.snr, two.snr, _shares(sc, one, two)
     z = 2.0**rate_2 - 1.0
     # at split 0 train 1 is never decoded first (x1 = 0) and keeps its solo rate
-    usage_at_zero = z * (1.0 + c1 * shares(0.0)[1]) / c2
+    (_, g2_at_zero), (x1_at_end, _) = trains.end_shares
+    usage_at_zero = z * (1.0 + c1 * g2_at_zero) / c2
     slack = (rate_2 == 0.0) | (usage_at_zero <= 1.0)
     bound = np.flatnonzero(~slack)
     if not bound.size:  # every point slack: no split to solve for
         return rate_1, rate_2, split, slack
-    z = z[bound]
+    z, shares = z[bound], _shares(sc, trains)
+    x1_at_root = np.full(bound.size, x1_at_end)  # a root the search does not move sits at the end
 
     def log_usage(lam, i):
         x1, g2, dx1, dg2 = shares(lam)
+        x1_at_root[i] = x1  # the last step of each search is at its root
         z2 = z[i]
         z1 = c1 / (1.0 + z2 * x1)
         # dz1 = -z1**2 * z2 * dx1 / c1; no integral is taken
         return np.log(z2 * (1.0 + z1 * g2) / c2), z1 * (dg2 - z1 * z2 * dx1 * g2 / c1) / (1.0 + z1 * g2)
 
-    # Train 2's usage at the far end is 1 only at its solo maximum; rounding
-    # may leave it a hair above, and then the split sits at the end.
-    span = 2.0 - sc.entry_offset
-    at_end = log_usage(span, np.arange(bound.size))[0]
-    lam = _newton(log_usage, 0.0, span, np.log(usage_at_zero[bound]), at_end, 1e-14)
+    # At the overlap end train 2 is never decoded first (g2 = 0), so its usage
+    # there is z/c2: 1 only at its solo maximum. Rounding may leave it a hair
+    # above, and then the split sits at the end.
+    lam = _newton(log_usage, 0.0, 2.0 - sc.entry_offset, np.log(usage_at_zero[bound]), np.log(z / c2), 1e-14)
     split[bound] = lam
-    rate_1[bound] = np.log1p(c1 / (1.0 + z * shares(lam)[0])) / LN2
+    rate_1[bound] = np.log1p(c1 / (1.0 + z * x1_at_root)) / LN2
     return rate_1, rate_2, split, slack
 
 
@@ -386,7 +415,7 @@ def no_priority_allocation(sc: EncounterScenario, rate_2: float) -> tuple[float,
     can hold its rate decoded-first everywhere, its budget goes slack and
     train 1 keeps its full solo rate (flat region boundary).
     """
-    batch = _allocate(sc, np.array([rate_2], dtype=float), _train(sc, 1), _train(sc, 2))
+    batch = _allocate(sc, np.array([rate_2], dtype=float), _trains(sc))
     rate_1, rate_2, split, slack = (v[0].item() for v in batch)
     return rate_1, split, AllocationProfile(sc, rate_1, rate_2, split, h2_budget_slack=slack)
 
@@ -395,9 +424,9 @@ def rate_region(sc: EncounterScenario, grid_size: int) -> RateRegion:
     """Boundary of the achievable (R1, R2) set on a uniform R2 grid."""
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    one, two = _train(sc, 1), _train(sc, 2)
-    r2s = [two.rmax * j / (grid_size - 1) for j in range(grid_size)]
-    pairs = tuple(zip(_allocate(sc, np.array(r2s), one, two)[0].tolist(), r2s))
+    trains = _trains(sc)
+    r2s = [trains.rmax[1] * j / (grid_size - 1) for j in range(grid_size)]
+    pairs = tuple(zip(_allocate(sc, np.array(r2s), trains)[0].tolist(), r2s))
     return RateRegion(pairs=pairs)
 
 
@@ -412,19 +441,18 @@ def tfds_baseline(sc: EncounterScenario, grid_size: int) -> RateRegion:
     return RateRegion(pairs=pairs)
 
 
-def _common_rates(sc: EncounterScenario, one: _Train, two: _Train) -> Callable[[np.ndarray], tuple]:
-    """Largest rate each train's budget allows when both carry it, against the split.
+def _common_rates(trains: _Trains) -> Callable[..., tuple]:
+    """Largest rate each train's budget allows when both carry it, at a split's shares.
 
     With both rates at ``R``, ``z = 2**R - 1``, solo SNRs ``c_i`` and the split's
     ``_shares``, train 1's budget binds when ``z*(1 + z*x1) = c1`` and train 2's
     when ``z*(1 + z*g2) = c2``; each positive root is taken in a form that does not
-    cancel. ``rates(lam)`` gives both rates and the slope of ``R1 - R2`` in the
-    split, from ``dz/dx = -z**2/(1 + 2*z*x)`` and the shares' slopes.
+    cancel. ``rates(x1, g2, dx1, dg2)`` gives both rates and the slope of ``R1 - R2``
+    in the split, from ``dz/dx = -z**2/(1 + 2*z*x)`` and the shares' slopes.
     """
-    c1, c2, shares = one.snr, two.snr, _shares(sc, one, two)
+    c1, c2 = trains.snr
 
-    def rates(lam):
-        x1, g2, dx1, dg2 = shares(lam)
+    def rates(x1, g2, dx1, dg2):
         z1 = 2.0 * c1 / (1.0 + np.sqrt(1.0 + 4.0 * c1 * x1))
         z2 = 2.0 * c2 / (1.0 + np.sqrt(1.0 + 4.0 * c2 * g2))
         # dR/dlam = dz/dx * dx/dlam / ((1 + z) ln 2)
@@ -444,16 +472,20 @@ def symmetric_rate(sc: EncounterScenario) -> float:
     1's at split 0 when train 2's already reaches it there. Both solo maxima
     cap the result.
     """
-    one, two = _train(sc, 1), _train(sc, 2)
-    rates = _common_rates(sc, one, two)
+    trains = _trains(sc)
+    shares, rates = _shares(sc, trains), _common_rates(trains)
+    # the rates at the overlap ends from their shares, in shape-(1,) arrays like
+    # the search's; no slope is needed there
+    at_zero, at_end = (rates(np.full(1, x1), np.full(1, g2), 0.0, 0.0) for x1, g2 in trains.end_shares)
+    found = at_zero
+    if at_zero[0] > at_zero[1]:
+        found = at_end  # a root the search does not move sits at the end
 
-    def gap(lam, _=None):
-        r1, r2, slope = rates(lam)
-        return r1 - r2, slope
+        def gap(lam, _=None):
+            nonlocal found
+            found = rates(*shares(lam))  # the search's last step is at its root
+            r1, r2, slope = found
+            return r1 - r2, slope
 
-    lam, end = np.zeros(1), np.full(1, 2.0 - sc.entry_offset)
-    gap_at_zero = gap(lam)[0]
-    if gap_at_zero[0] > 0.0:
-        lam = _newton(gap, 0.0, end[0], gap_at_zero, gap(end)[0], 1e-13)
-    r1, r2, _ = rates(lam)
-    return min(r1.item(), r2.item(), one.rmax, two.rmax)
+        _newton(gap, 0.0, 2.0 - sc.entry_offset, at_zero[0] - at_zero[1], at_end[0] - at_end[1], 1e-13)
+    return min(found[0].item(), found[1].item(), *trains.rmax)

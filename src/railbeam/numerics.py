@@ -35,6 +35,7 @@ def _gauss_legendre(n: int) -> tuple[tuple[float, float], ...]:
 
 _RULE = _gauss_legendre(24)
 _NODES, _WEIGHTS = np.array(_RULE).T
+_FIRST_PANEL = 1.0 + _NODES  # panel 0's node offsets in half-widths
 
 
 def adaptive_simpson(
@@ -86,12 +87,18 @@ class CumulativeIntegral:
     ``base**((exponent+1)/2) * cosh(s)**(exponent+1) / speed``, smooth in
     ``s``. One fixed Gauss-Legendre rule on ``ceil(|ds|*(exponent+1)/60)``
     equal panels integrates it to about 3e-14 relative; nothing is cached.
+
+    ``shift`` is a scalar, or a column ``[[shift_1], [shift_2], ...]`` that makes
+    one row per shift: paths that share ``base``, ``speed`` and ``exponent`` are
+    then integrated in one call, each row with the bits of its scalar-shift object.
     """
 
-    def __init__(self, base: float, speed: float, shift: float, exponent: float):
+    def __init__(self, base: float, speed: float, shift, exponent: float):
         self._power = exponent + 1.0
+        self._panels_per_width = self._power / 60.0
+        self._gain_power = 0.5 * self._power - 0.5
         inv_root = 1.0 / math.sqrt(base)
-        self._slope, self._offset = speed * inv_root, shift * inv_root
+        self._slope, self._offset = speed * inv_root, np.asarray(shift, dtype=float) * inv_root
         self._weights = _WEIGHTS * (base ** (0.5 * self._power) / speed)
         self._scale = base ** (0.5 * exponent)
 
@@ -100,22 +107,29 @@ class CumulativeIntegral:
         return self.between(0.0, t)
 
     def between(self, a, b):
-        """Integral over ``[a, b]`` (negative when ``a > b``); two scalars give a float.
+        """Integral over ``[a, b]`` (negative when ``a > b``); a float when the ends and ``shift`` are scalars.
 
-        ``a`` and ``b`` are scalars or 1-d arrays that broadcast. Each element keeps its own
-        panel count, panels past it add exactly +0.0, and nodes are reduced by a row sum, not
-        BLAS ``@``: an element's bits do not depend on the rest of the batch.
+        ``a`` and ``b`` are scalars or 1-d or 2-d arrays that broadcast against each other and
+        the ``shift`` column. Each element keeps its own panel count, panels past it add
+        exactly +0.0, and nodes are reduced by a row sum, not BLAS ``@``: an element's bits do
+        not depend on the rest of the batch. NaN or infinite ends raise ``ValueError`` or
+        ``OverflowError``.
         """
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         sa = np.arcsinh(a * self._slope - self._offset)
         width = np.arcsinh(b * self._slope - self._offset) - sa
-        panels = np.maximum(1.0, np.ceil(np.abs(width) * (self._power / 60.0)))
-        half = 0.5 * width / panels
-        total = 0.0  # an empty batch has no panel
-        for k in range(int(panels.max(initial=0.0))):
-            # in place: at n = 1001 each (n, 24) temporary is 192 KB, and fewer of them
-            # leave the solve's page faults less dependent on the heap's history
-            nodes = half[..., None] * (2 * k + 1 + _NODES)
+        # the largest width has the most panels; an empty batch takes one panel of nothing
+        size = np.abs(width)
+        count = max(1, math.ceil(float(size.max(initial=0.0)) * self._panels_per_width))
+        if count > 1:
+            panels = np.maximum(1.0, np.ceil(size * self._panels_per_width))
+            half = 0.5 * width / panels
+        else:
+            half = 0.5 * width  # one panel each: dividing by 1.0 is exact
+        for k in range(count):
+            # in place: at n = 1001 a stacked (2, n, 24) temporary is 384 KB, and fewer of
+            # them leave the solve's page faults less dependent on the heap's history
+            nodes = half[..., None] * (_FIRST_PANEL if k == 0 else 2 * k + 1 + _NODES)
             nodes += sa[..., None]
             np.cosh(nodes, out=nodes)
             nodes **= self._power
@@ -123,9 +137,9 @@ class CumulativeIntegral:
             panel = nodes.sum(axis=-1)
             total = total + np.where(k < panels, panel, 0.0) if k else panel
         out = total * half
-        return out if a.ndim or b.ndim else out.item()
+        return out if out.ndim else out.item()
 
     def gain(self, t):
-        """The path gain at ``t``: the slope of ``between(a, t)`` in ``t``."""
+        """The path gain at ``t``, one row per shift: the slope of ``between(a, t)`` in ``t``."""
         u = t * self._slope - self._offset
-        return self._scale * (1.0 + u * u) ** (0.5 * self._power - 0.5)
+        return self._scale * (1.0 + u * u) ** self._gain_power

@@ -33,18 +33,21 @@ def three_call_power_use(profile, train):
     """``AllocationProfile.power_use`` as three scalar ``between`` calls."""
     sc = profile.scenario
     a, b = encounter._serving_window(sc, train)
-    path = encounter._train(sc, train)
-    cum = path.cum
-    coeff = sc.noise_power / (path.weight * sc.avg_power)
+    trains, row = encounter._trains(sc), train - 1
+
+    def between(lo, hi):  # this train's row of the stacked integral
+        return trains.cum.between(lo, hi)[row].item()
+
+    coeff = sc.noise_power / (trains.weight[row] * sc.avg_power)
     t_split = min(max(profile._split_time, 0.0), sc.overlap_end)
     if train == 1:
         gain = 2.0**profile.rate_1 - 1.0
-        plain = cum.between(a, 0.0) + cum.between(t_split, sc.overlap_end)
-        boosted = cum.between(0.0, t_split) * 2.0**profile.rate_2
+        plain = between(a, 0.0) + between(t_split, sc.overlap_end)
+        boosted = between(0.0, t_split) * 2.0**profile.rate_2
     else:
         gain = 2.0**profile.rate_2 - 1.0
-        plain = cum.between(sc.overlap_end, b) + cum.between(0.0, t_split)
-        boosted = cum.between(t_split, sc.overlap_end) * 2.0**profile.rate_1
+        plain = between(sc.overlap_end, b) + between(0.0, t_split)
+        boosted = between(t_split, sc.overlap_end) * 2.0**profile.rate_1
     return coeff * gain * (plain + boosted) * sc.speed / (2.0 * sc.half_coverage)
 
 
@@ -162,7 +165,7 @@ SLOPE_ABS = 1e-8
 
 def train_distance(sc, train, t):
     """Slant distance of one train's relay to the station, from its path gain ``d**exponent``."""
-    return encounter._train(sc, train).cum.gain(t) ** (1.0 / sc.path_loss_exponent)
+    return encounter._trains(sc).cum.gain(t)[train - 1].item() ** (1.0 / sc.path_loss_exponent)
 
 
 class TestDistances:
@@ -250,10 +253,10 @@ class TestNoPriorityAllocation:
             assert profile.excitation(2, t) == 0.0
 
     def test_all_slack_batch_solves_nothing(self, between_calls):
-        # one fixed-window call per train, then x1 and g2 at split 0 decide that
-        # every point is slack; no usage at the far end, no final shares
+        # one fixed-window call for both trains, whose shares at split 0 decide
+        # that every point is slack; no usage at the far end, no final shares
         rate_1, lam, _ = no_priority_allocation(load_config(None).encounter_scenario(eta=0.8), 0.0)
-        assert len(between_calls) == 4
+        assert len(between_calls) == 1
         assert lam == 0.0
 
     def test_no_overlap_keeps_solo_rate_everywhere(self):
@@ -515,8 +518,8 @@ class TestProfileSchedule:
         for t in times:
             profile.excitation(1, t)
             profile.excitation(2, t)
-        # at most each train's fixed windows, once per profile
-        assert len(between_calls) <= 2
+        # at most both trains' fixed windows, once per profile
+        assert len(between_calls) <= 1
 
 
 class TestNewtonSearch:
@@ -541,10 +544,11 @@ class TestNewtonSearch:
 
     def test_gap_slope_matches_central_difference(self):
         for sc, _ in seeded_scenarios(1902, 36):
-            rates = _common_rates(sc, encounter._train(sc, 1), encounter._train(sc, 2))
+            trains = encounter._trains(sc)
+            shares, rates = encounter._shares(sc, trains), _common_rates(trains)
             lam = np.linspace(0.05, 0.95, 7) * (2.0 - sc.entry_offset)
-            slope = rates(lam)[2]
-            numeric = central_difference(lambda x: np.subtract(*rates(x)[:2]), lam)
+            slope = rates(*shares(lam))[2]
+            numeric = central_difference(lambda x: np.subtract(*rates(*shares(x))[:2]), lam)
             np.testing.assert_allclose(slope, numeric, rtol=1e-6, atol=SLOPE_ABS)
 
     @pytest.mark.parametrize(
@@ -656,32 +660,65 @@ class TestNewtonSearch:
 class TestRateRegion:
     @pytest.mark.parametrize("eta", [0.0, 0.4, 0.8, 1.2, 1.6])
     def test_default_grid_takes_few_integral_calls(self, between_calls, eta):
-        # a work-count guard: the Newton search takes 22-26 calls here, and
-        # the Illinois false position it replaced took 34-48
+        # a work-count guard: one call for both trains' fixed windows and one
+        # per Newton step make 8-10 here; two calls per step, integrals at the
+        # overlap ends and a final call at the roots took 22-26
         rate_region(load_config(None).encounter_scenario(eta=eta), 201)
-        assert len(between_calls) <= 30
+        assert len(between_calls) <= 11
 
-    @pytest.mark.parametrize("eta, most", [(0.0, 10), (0.8, 10), (1.6, 10), (2.0, 6)])
+    @pytest.mark.parametrize("eta, most", [(0.0, 2), (0.8, 2), (1.6, 2), (2.0, 1)])
     def test_default_symmetric_rate_takes_few_integral_calls(self, between_calls, eta, most):
-        # the solo caps come from the fixed window integrals, not from two more calls
+        # the solo caps, both end gaps and the rates at the root take no more
+        # calls than the fixed window integrals and the Newton steps
         symmetric_rate(load_config(None).encounter_scenario(eta=eta))
         assert len(between_calls) <= most
 
     @pytest.mark.parametrize("eta", [0.0, 0.8, 2.0])
-    def test_allocation_takes_its_fixed_windows_in_two_calls(self, monkeypatch, between_calls, eta):
+    def test_allocation_takes_its_fixed_windows_in_one_call(self, monkeypatch, between_calls, eta):
         sc = load_config(None).encounter_scenario(eta=eta)
         r2 = 0.5 * single_train_rmax(sc, 2)
-        train, inside = encounter._train, []
+        trains, inside = encounter._trains, []
 
-        def counted(sc, k):
+        def counted(sc):
             before = len(between_calls)
-            out = train(sc, k)
+            out = trains(sc)
             inside.append(len(between_calls) - before)
             return out
 
-        monkeypatch.setattr(encounter, "_train", counted)
+        monkeypatch.setattr(encounter, "_trains", counted)
         no_priority_allocation(sc, r2)
-        assert inside == [1, 1]
+        assert inside == [1]
+
+    @pytest.mark.parametrize("eta", [0.0, 0.8, 1.6, 2.0])
+    def test_no_solve_integrates_at_the_overlap_ends(self, monkeypatch, eta):
+        # the shares at split 0 and at the overlap end are the fixed window
+        # integrals' ratios, so only _trains takes an interval there
+        sc = load_config(None).encounter_scenario(eta=eta)
+        t_ov, r2, intervals = sc.overlap_end, 0.5 * single_train_rmax(sc, 2), []
+        between = CumulativeIntegral.between
+
+        def spied(self, a, b):
+            intervals.append(np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
+            return between(self, a, b)
+
+        monkeypatch.setattr(CumulativeIntegral, "between", spied)
+        solves = [
+            lambda: rate_region(sc, 201),
+            lambda: no_priority_allocation(sc, 0.0),
+            lambda: no_priority_allocation(sc, r2),
+            lambda: symmetric_rate(sc),
+        ]
+        for solve in solves:
+            intervals.clear()
+            solve()
+            fixed, *steps = intervals
+            assert fixed[0].shape == (2, 3)  # _trains: both trains' fixed windows
+            windows = set(zip(fixed[0].ravel().tolist(), fixed[1].ravel().tolist()))
+            for lo, hi in steps:
+                at_zero = (lo == 0.0) & (hi == 0.0)
+                at_end = (lo == t_ov) & (hi == t_ov)
+                assert not (at_zero | at_end).any(), (eta, solve)
+                assert not set(zip(lo.ravel().tolist(), hi.ravel().tolist())) & windows, (eta, solve)
 
     def test_boundary_monotone_and_endpoints(self):
         sc = scenario(eta=0.8)
@@ -739,9 +776,15 @@ class TestRateRegion:
                 half_coverage=rng.uniform(200.0, 1500.0),
                 speed=rng.uniform(20.0, 150.0),
             )
-            shares = encounter._shares(sc, encounter._train(sc, 1), encounter._train(sc, 2))
-            assert shares(0.0)[0] == 0.0
-            assert shares(2.0 - sc.entry_offset)[1] == 0.0, sc
+            trains = encounter._trains(sc)
+            shares = encounter._shares(sc, trains)
+            at_zero, at_end = trains.end_shares
+            assert at_zero[0] == 0.0 and at_end[1] == 0.0
+            # the closed-form end shares have the bits of the integrals they replace
+            assert shares(np.zeros(1))[0][0] == 0.0
+            assert shares(np.zeros(1))[1][0] == at_zero[1], sc
+            assert shares(np.full(1, 2.0 - sc.entry_offset))[0][0] == at_end[0], sc
+            assert shares(np.full(1, 2.0 - sc.entry_offset))[1][0] == 0.0, sc
 
     def test_grid_point_has_the_bits_of_a_lone_solve(self):
         sc = scenario(eta=0.8, alpha0=3.5)
@@ -802,8 +845,9 @@ class TestSymmetricRate:
                 alpha0=rng.choice((2.0, 2.5, 3.0, 3.5, 4.0, 5.0)),
             )
             lams = [rng.uniform(0.0, 2.0 - sc.entry_offset) for _ in range(5)]
-            rates = _common_rates(sc, encounter._train(sc, 1), encounter._train(sc, 2))
-            r1s, r2s, _ = rates(np.array(lams))
+            trains = encounter._trains(sc)
+            shares, rates = encounter._shares(sc, trains), _common_rates(trains)
+            r1s, r2s, _ = rates(*shares(np.array(lams)))
             for lam, r1, r2 in zip(lams, r1s.tolist(), r2s.tolist()):
                 use1 = AllocationProfile(sc, r1, r1, lam).power_use(1)
                 use2 = AllocationProfile(sc, r2, r2, lam).power_use(2)

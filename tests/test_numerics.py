@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,39 @@ def geometry_grid():
     return cases
 
 
+def exact_between(base, speed, shift, exponent, a, b):
+    """``between(a, b)`` from the closed-form antiderivative in 60-digit ``decimal``.
+
+    ``F(u)`` integrates ``(B + u**2)**(n/2)`` for n = 2 to 5 (Gradshteyn & Ryzhik 2.271), with
+    ``u = speed*t - shift`` formed exactly from the float inputs and ``dt = du/speed``;
+    ``ln(u + sqrt(B + u**2))`` is ``asinh(u/sqrt(B))`` up to a constant.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        big_b, v, s = Decimal(base), Decimal(speed), Decimal(shift)
+
+        def antiderivative(t):
+            u = v * Decimal(t) - s
+            root = (big_b + u * u).sqrt()
+            if exponent == 2:
+                return big_b * u + u**3 / 3
+            if exponent == 4:
+                return big_b**2 * u + 2 * big_b * u**3 / 3 + u**5 / 5
+            log = (u + root).ln()
+            if exponent == 3:
+                return u * (2 * u**2 + 5 * big_b) * root / 8 + 3 * big_b**2 / 8 * log
+            if exponent == 5:
+                return u * (8 * u**4 + 26 * big_b * u**2 + 33 * big_b**2) * root / 48 + 5 * big_b**3 / 16 * log
+            raise ValueError("no closed form for this exponent")
+
+        return float((antiderivative(b) - antiderivative(a)) / v)
+
+
+def stacked(base, speed, shifts, exponent):
+    """One ``CumulativeIntegral`` with a row per shift."""
+    return CumulativeIntegral(base, speed, [[shift] for shift in shifts], exponent)
+
+
 class TestCumulativeIntegral:
     def test_matches_direct_quadrature(self):
         for base, speed, shift, exponent, a, b in geometry_grid():
@@ -144,3 +178,60 @@ class TestCumulativeIntegral:
             np.testing.assert_allclose(gain, path_gain(base, speed, shift, exponent)(t), rtol=1e-13)
             h = 1e-6  # central difference of the integral, as the mean over [t - h, t + h]
             np.testing.assert_allclose(gain, cum.between(t - h, t + h) / (2.0 * h), rtol=1e-6)
+
+    def test_matches_the_exact_reference(self):
+        # every integer exponent of the grid, alone and as the first of two stacked
+        # rows; the second row passes its closest approach mid-interval
+        checked = 0
+        for base, speed, shift, exponent, a, b in geometry_grid():
+            if exponent not in (2.0, 3.0, 4.0, 5.0):
+                continue
+            shifts = (shift, 0.5 * speed * (a + b))
+            rows = stacked(base, speed, shifts, exponent).between(a, b)
+            for k, row_shift in enumerate(shifts):
+                exact = exact_between(base, speed, row_shift, int(exponent), a, b)
+                assert rows[k, 0] == pytest.approx(exact, rel=1e-14, abs=0.0), (base, row_shift, exponent)
+            exact = exact_between(base, speed, shift, int(exponent), a, b)
+            alone = CumulativeIntegral(base, speed, shift, exponent).between(a, b)
+            assert alone == pytest.approx(exact, rel=1e-14, abs=0.0), (base, shift, exponent)
+            checked += 1
+        assert checked == 1 + 4 * 9
+
+    def test_stacked_rows_have_the_bits_of_scalar_shifts(self):
+        # the worst case comes first: two of its rows mix one and two panels, and
+        # the third needs one panel throughout while the batch takes two
+        for base, speed, shift, exponent, a, b in geometry_grid():
+            shifts = (shift, 0.5 * speed * (a + b), -shift)
+            cum = stacked(base, speed, shifts, exponent)
+            lo, hi = np.linspace(a, b, 9), np.linspace(b, a + 3.0 * (b - a), 9)
+            rows, gains = cum.between(lo, hi), cum.gain(hi)
+            assert rows.shape == gains.shape == (3, 9)
+            for k, row_shift in enumerate(shifts):
+                alone = CumulativeIntegral(base, speed, row_shift, exponent)
+                assert rows[k].tolist() == alone.between(lo, hi).tolist(), (base, row_shift, exponent)
+                assert gains[k].tolist() == alone.gain(hi).tolist(), (base, row_shift, exponent)
+
+    def test_two_dimensional_batch_has_the_bits_of_each_row(self):
+        base, speed, shift, exponent, a, b = geometry_grid()[0]
+        rng = np.random.default_rng(27)
+        lo, hi = rng.uniform(a, b, (2, 50)), rng.uniform(a, 5.0 * b, (2, 50))
+        cum = stacked(base, speed, (shift, 0.5 * shift), exponent)
+        rows = cum.between(lo, hi)
+        alone = CumulativeIntegral(base, speed, shift, exponent)
+        for k in range(2):
+            assert rows[k].tolist() == cum.between(lo[k], hi[k])[k].tolist()
+            assert alone.between(lo, hi)[k].tolist() == alone.between(lo[k], hi[k]).tolist()
+
+    def test_scalar_ends_of_stacked_rows_give_a_column(self):
+        cum = stacked(2900.0, 100.0, (800.0, 0.0), 3.0)
+        out = cum.between(0.0, 4.0)
+        assert out.shape == (2, 1)
+        assert out[:, 0].tolist() == [CumulativeIntegral(2900.0, 100.0, s, 3.0).between(0.0, 4.0) for s in (800.0, 0.0)]
+
+    @pytest.mark.parametrize("a, b", [(math.nan, 4.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 4.0)])
+    def test_non_finite_ends_raise(self, a, b):
+        for cum in (CumulativeIntegral(2900.0, 100.0, 800.0, 3.0), stacked(2900.0, 100.0, (800.0, 0.0), 3.0)):
+            with pytest.raises((ValueError, OverflowError)):
+                cum.between(a, b)
+            with pytest.raises((ValueError, OverflowError)):
+                cum.between([0.0, a], [1.0, b])
