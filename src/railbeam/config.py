@@ -24,10 +24,6 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-def watts_to_dbm(watts: float) -> float:
-    return 10.0 * math.log10(watts) + 30.0
-
-
 def kmh_to_mps(kmh: float) -> float:
     return kmh / 3.6
 

@@ -241,29 +241,21 @@ def single_train_rmax(sc: EncounterScenario, train: int) -> float:
     return _trains(sc).rmax[row]
 
 
-def _priority_noise_factor(sc: EncounterScenario, priority_holder: int) -> float:
-    """1 + SNR of the priority train over the shared interval."""
-    row = _row(priority_holder)
-    trains = _trains(sc)
-    return 1.0 + sc.power_budget / (sc.noise_power * trains.shared[row] / trains.weight[row])
-
-
 def priority_rate(sc: EncounterScenario, priority_holder: int) -> float:
     """Best constant rate of the train without decoding priority.
 
-    The priority train is decoded last and sees a clean channel; the other
-    train is decoded first over the whole shared interval, so its inverted
-    noise there is amplified by the priority train's (1 + SNR). With no
-    overlap the result degenerates to the solo rate.
+    The holder is decoded last throughout the overlap and keeps its solo
+    rate; its solo SNR is ``c_h``. The other train, solo SNR ``c``, is decoded
+    first there, so its budget binds at ``2**R - 1 = c/(1 + c_h*share)``, where
+    ``share`` is its overlap integral over its window integral
+    (``_Trains.end_shares``). This is a corner of the rate region: its last
+    point for holder 2, the end of its flat part for holder 1. With no
+    overlap the share is 0 and the result is the solo rate.
     """
-    if priority_holder not in (1, 2):
-        raise ValueError("priority_holder must be 1 or 2")
-    trains, other = _trains(sc), 2 - priority_holder  # the other train's row
-    if sc.overlap_end <= 0.0:
-        return trains.rmax[other]
-    factor = _priority_noise_factor(sc, priority_holder)
-    inv = sc.noise_power * (factor * trains.shared[other] + trains.solo[other]) / trains.weight[other]
-    return math.log1p(sc.power_budget / inv) / LN2
+    h = _row(priority_holder)
+    trains, o = _trains(sc), 1 - h
+    c = trains.snr
+    return math.log1p(c[o] / (1.0 + c[h] * trains.end_shares[h][o])) / LN2
 
 
 @dataclass(frozen=True)
@@ -434,8 +426,7 @@ def tfds_baseline(sc: EncounterScenario, grid_size: int) -> RateRegion:
     """Orthogonal time/frequency sharing between the two solo optima."""
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    r1_max = single_train_rmax(sc, 1)
-    r2_max = single_train_rmax(sc, 2)
+    r1_max, r2_max = _trains(sc).rmax
     shares = [j / (grid_size - 1) for j in range(grid_size)]
     pairs = tuple((share * r1_max, (1.0 - share) * r2_max) for share in shares)
     return RateRegion(pairs=pairs)

@@ -10,7 +10,6 @@ from railbeam.config import (
     dbm_to_watts,
     kmh_to_mps,
     load_config,
-    watts_to_dbm,
 )
 from railbeam.geometry import coverage_interval
 
@@ -52,7 +51,7 @@ class TestUnits:
     def test_dbm_conversion(self, tmp_path):
         cfg = load_config(write(tmp_path, "p0_dbm = 43\n"))
         assert cfg.p0_w == pytest.approx(19.952623149688797, rel=1e-12)
-        assert watts_to_dbm(cfg.p0_w) == pytest.approx(43.0, rel=1e-12)
+        assert 10.0 * math.log10(cfg.p0_w) + 30.0 == pytest.approx(43.0, rel=1e-12)
 
     def test_kmh_conversion(self, tmp_path):
         cfg = load_config(write(tmp_path, "v0_kmh = 360\n"))

@@ -15,7 +15,6 @@ from railbeam.encounter import (
     EncounterWindowError,
     InfeasibleRateError,
     _common_rates,
-    _priority_noise_factor,
     no_priority_allocation,
     priority_rate,
     rate_region,
@@ -214,10 +213,32 @@ class TestSingleTrainRate:
 
 
 class TestPriorityRate:
-    def test_noise_factor_at_least_one(self):
-        assert _priority_noise_factor(scenario(eta=0.5), 2) >= 1.0
+    def test_decoded_first_never_beats_solo(self):
+        # the holder's interference only costs the other train rate, and costs
+        # nothing once the holder's power vanishes
+        sc = scenario(eta=0.5)
+        assert priority_rate(sc, 2) <= single_train_rmax(sc, 1)
         tiny = scenario(p0=1e-16)
-        assert _priority_noise_factor(tiny, 2) == pytest.approx(1.0, abs=1e-6)
+        assert priority_rate(tiny, 2) == pytest.approx(single_train_rmax(tiny, 1), rel=1e-6)
+
+    def test_rates_are_the_region_corners(self):
+        # holder 2 gives the region's last R1; holder 1 gives the R2 where its
+        # flat part ends, at which train 1 still keeps its solo rate
+        rng = random.Random(2528)
+        for _ in range(200):
+            sc = scenario(
+                eta=rng.uniform(0.0, 2.0),
+                p0=10.0 ** ((rng.uniform(37.0, 47.0) - 30.0) / 10.0),
+                alpha0=rng.uniform(2.0, 5.0),
+            )
+            assert priority_rate(sc, 2) == pytest.approx(rate_region(sc, 5).pairs[-1][0], rel=1e-12), sc
+            rate_1, _, _ = no_priority_allocation(sc, priority_rate(sc, 1))
+            assert rate_1 == pytest.approx(single_train_rmax(sc, 1), rel=1e-12), sc
+
+    @pytest.mark.parametrize("holder", [1, 2])
+    def test_takes_one_integral_call(self, between_calls, holder):
+        priority_rate(load_config(None).encounter_scenario(eta=0.8), holder)
+        assert len(between_calls) == 1
 
     def test_no_overlap_degenerates_to_solo(self):
         sc = scenario(eta=2.0)
@@ -239,7 +260,7 @@ class TestPriorityRate:
         assert priority_rate(sc, 2) < single_train_rmax(sc, 1)
 
     def test_rejects_bad_holder(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="train must be 1 or 2"):
             priority_rate(scenario(), 3)
 
 
@@ -798,6 +819,10 @@ class TestRateRegion:
 
 
 class TestTfdsBaseline:
+    def test_takes_one_integral_call(self, between_calls):
+        tfds_baseline(load_config(None).encounter_scenario(eta=0.8), 201)
+        assert len(between_calls) == 1
+
     def test_segment_endpoints_and_midpoint(self):
         sc = scenario(eta=0.0)
         base = tfds_baseline(sc, 5)

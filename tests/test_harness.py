@@ -1,6 +1,8 @@
+import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -301,3 +303,26 @@ for command in ("tradeoff", "search-n"):
         env = dict(os.environ, PYTHONPATH=str(Path(railbeam.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+class TestDeadCode:
+    def test_every_top_level_definition_is_used(self):
+        # a function or class that only its own tests name is dead to the program,
+        # so uses count in src/ and perfbench/ (exports in __init__ included), not
+        # tests/; module hooks such as __getattr__ are called by the interpreter
+        repo = Path(__file__).resolve().parents[1]
+        sources = [p for folder in ("src", "perfbench") for p in sorted((repo / folder).rglob("*.py"))]
+        lines = {p: p.read_text().splitlines() for p in sources}
+        unused = []
+        for module in sorted((repo / "src" / "railbeam").glob("*.py")):
+            for node in ast.parse(module.read_text()).body:
+                if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("__"):
+                    continue
+                word = re.compile(rf"\b{node.name}\b")
+                if not any(
+                    word.search(line) and (path, j) != (module, node.lineno)
+                    for path, text in lines.items()
+                    for j, line in enumerate(text, 1)
+                ):
+                    unused.append(f"{module.name}:{node.lineno} {node.name}")
+        assert unused == []
