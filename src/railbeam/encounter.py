@@ -179,27 +179,50 @@ def _shares(sc: EncounterScenario, trains: _Trains) -> Callable[[np.ndarray], tu
     return shares
 
 
+_TABLE = 32  # equal cells of the split table that each region root starts from
+
+
+def _split_table(sc: EncounterScenario, trains: _Trains, shares: Callable) -> tuple[np.ndarray, ...]:
+    """``(lam, x1, g2, dx1, dg2)`` at the ``_TABLE + 1`` ends of equal cells on ``[0, 2 - eta]``.
+
+    The interior takes one ``shares`` call. The ends read ``_Trains.end_shares``, and their
+    slopes the path gains at ``t = 0`` and the overlap end, so they take no integral.
+    """
+    lam = np.linspace(0.0, 2.0 - sc.entry_offset, _TABLE + 1)
+    (_, g2_at_zero), (x1_at_end, _) = trains.end_shares
+    gain = trains.cum.gain(np.array([0.0, sc.overlap_end])) * (sc.half_coverage / sc.speed)
+    dx1, dg2 = gain / np.array(trains.whole)[:, None]
+    ends = (0.0, x1_at_end), (g2_at_zero, 0.0), dx1, -dg2
+    return lam, *(np.concatenate(([a], inner, [b])) for (a, b), inner in zip(ends, shares(lam[1:-1])))
+
+
 _MAX_ITERATIONS = 100
 
 
 def _newton(
-    f: Callable[[np.ndarray, np.ndarray], tuple], lo: float, hi: float, f_lo, f_hi, tol: float
+    f: Callable[[np.ndarray, np.ndarray], tuple], lo, hi, f_lo, f_hi, tol: float, x0=None
 ) -> np.ndarray:
     """Zeros in ``[lo, hi]`` of a batch of functions; ``f(x, i)`` is values and slopes of those in ``i``.
 
-    ``f_lo != 0`` and ``f_hi`` are their values at the ends; where ``f_hi`` is zero or has
-    ``f_lo``'s sign the zero is ``hi``. Safeguarded Newton from the false-position point of the
-    ends: after a step that failed to halve ``|f|`` (a cycle, or ``f`` flat on its rounding floor)
-    it leaps 16 times that step's length instead, and it bisects where a step would leave the
-    bracket. It stops at ``|f| <= tol`` or once the bracket has shrunk to rounding. No element
-    reads another's, and each zero is the last point its function was evaluated at (``hi``
-    where it takes no step), so a caller may keep what ``f`` computed there.
+    ``lo`` and ``hi`` are each element's bracket (scalars or arrays like ``f_lo``), ``f_lo != 0``
+    and ``f_hi`` the values at its ends; where ``f_hi`` is zero or has ``f_lo``'s sign the zero is
+    ``hi``. Safeguarded Newton from ``x0``, or from the false-position point of the ends where
+    ``x0`` is not given, not finite or not strictly inside the bracket: after a step that failed
+    to halve ``|f|`` (a cycle, or ``f`` flat on its rounding floor) it leaps 16 times that step's
+    length instead, and it bisects where a step would leave the bracket. It stops at
+    ``|f| <= tol`` or once the bracket has shrunk to rounding. No element reads another's, and
+    each zero is the last point its function was evaluated at (``hi`` where it takes no step),
+    so a caller may keep what ``f`` computed there.
     """
-    out = np.full(f_lo.shape, hi)
+    lo, hi = np.full(f_lo.shape, lo), np.full(f_lo.shape, hi)
+    out = hi.copy()
     i = np.flatnonzero((f_hi != 0.0) & ((f_hi > 0.0) != (f_lo > 0.0)))
-    f_lo, f_hi = f_lo[i], f_hi[i]
+    f_lo, f_hi, lo, hi = f_lo[i], f_hi[i], lo[i], hi[i]
     x = lo + (hi - lo) * f_lo / (f_lo - f_hi)
-    lo, hi, positive = np.full(i.size, lo), np.full(i.size, hi), f_lo > 0.0
+    if x0 is not None:
+        x0 = x0[i]
+        x = np.where((lo < x0) & (x0 < hi), x0, x)
+    positive = f_lo > 0.0
     f_from, last = np.full(i.size, np.inf), lo  # |f| (inf if it bisected) and x at the last step
     for _ in range(_MAX_ITERATIONS):
         if not i.size:
@@ -358,6 +381,11 @@ def _allocate(sc: EncounterScenario, rate_2: np.ndarray, trains: _Trains) -> tup
     ``no_priority_allocation`` for a batch; train 2's solo maximum clips ``rate_2``. With
     ``z_i = 2**R_i - 1``, train 1's budget binds at ``z1 = c1/(1 + z2*x1)`` and train 2 uses
     ``z2*(1 + z1*g2)/c2`` of its own (solo SNRs ``c_i`` from ``_trains``, the rest from ``_shares``).
+    Once a point is bound, ``_split_table`` gives the log usage at ``_TABLE + 1`` splits, which
+    falls along the split: each root is bracketed by the adjacent table points where it changes
+    sign, and its search starts from the inverse cubic Hermite interpolant there. A table point
+    within tolerance is its own root. The table depends only on ``sc``, so a point has the same
+    bits in any batch.
     """
     (rmax_1, rmax_2), (c1, c2) = trains.rmax, trains.snr
     if not np.all(rate_2 >= 0.0):
@@ -370,28 +398,43 @@ def _allocate(sc: EncounterScenario, rate_2: np.ndarray, trains: _Trains) -> tup
         return rate_1, rate_2, split, np.ones(rate_2.shape, dtype=bool)
     z = 2.0**rate_2 - 1.0
     # at split 0 train 1 is never decoded first (x1 = 0) and keeps its solo rate
-    (_, g2_at_zero), (x1_at_end, _) = trains.end_shares
+    (_, g2_at_zero), _ = trains.end_shares
     usage_at_zero = z * (1.0 + c1 * g2_at_zero) / c2
     slack = (rate_2 == 0.0) | (usage_at_zero <= 1.0)
     bound = np.flatnonzero(~slack)
     if not bound.size:  # every point slack: no split to solve for
         return rate_1, rate_2, split, slack
-    z, shares = z[bound], _shares(sc, trains)
-    x1_at_root = np.full(bound.size, x1_at_end)  # a root the search does not move sits at the end
+    z, shares, tol = z[bound], _shares(sc, trains), 1e-14
+    lam, *table = _split_table(sc, trains, shares)
 
-    def log_usage(lam, i):
-        x1, g2, dx1, dg2 = shares(lam)
-        x1_at_root[i] = x1  # the last step of each search is at its root
-        z2 = z[i]
+    def usage(z2, x1, g2, dx1, dg2):
         z1 = c1 / (1.0 + z2 * x1)
         # dz1 = -z1**2 * z2 * dx1 / c1; no integral is taken
         return np.log(z2 * (1.0 + z1 * g2) / c2), z1 * (dg2 - z1 * z2 * dx1 * g2 / c1) / (1.0 + z1 * g2)
 
+    def log_usage(lam, i):
+        x1, g2, dx1, dg2 = shares(lam)
+        x1_at_root[i] = x1  # the last step of each search is at its root
+        return usage(z[i], x1, g2, dx1, dg2)
+
+    f, slope = usage(z[:, None], *table)
+    # Each root lies in the cell that ends at the first table point not above tol.
     # At the overlap end train 2 is never decoded first (g2 = 0), so its usage
     # there is z/c2: 1 only at its solo maximum. Rounding may leave it a hair
     # above, and then the split sits at the end.
-    lam = _newton(log_usage, 0.0, 2.0 - sc.entry_offset, np.log(usage_at_zero[bound]), np.log(z / c2), 1e-14)
-    split[bound] = lam
+    above, rows = f > tol, np.arange(bound.size)
+    hi = np.where(above[:, -1], _TABLE, above.argmin(axis=1))
+    lo = np.maximum(hi - 1, 0)
+    f_lo, f_hi, d_lo, d_hi = f[rows, lo], f[rows, hi], slope[rows, lo], slope[rows, hi]
+    f_hi[np.abs(f_hi) <= tol] = 0.0  # a table point within tol is its root: the search leaves it
+    x1_at_root = table[0][hi]
+    lo, hi = lam[lo], lam[hi]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # the cubic through lam(log usage) at both ends, with slopes 1/d_lo and 1/d_hi, at 0
+        s = f_lo / (f_lo - f_hi)
+        bend = (f_hi - f_lo) * s * (1.0 - s) * ((1.0 - s) / d_lo - s / d_hi)
+        x0 = lo + s * s * (3.0 - 2.0 * s) * (hi - lo) + bend
+    split[bound] = _newton(log_usage, lo, hi, f_lo, f_hi, tol, x0)
     rate_1[bound] = np.log1p(c1 / (1.0 + z * x1_at_root)) / LN2
     return rate_1, rate_2, split, slack
 
@@ -403,7 +446,9 @@ def no_priority_allocation(sc: EncounterScenario, rate_2: float) -> tuple[float,
     solve both average-power equalities simultaneously: each trial split
     inverts train 1's power equality in closed form, and a safeguarded
     Newton search on train 2's log usage, with its slope from the path
-    gains at the split, moves the split. Below the threshold where train 2
+    gains at the split, moves the split. The search starts inside one cell
+    of a per-scenario table of splits, from the inverse cubic Hermite
+    interpolant of its log usage there. Below the threshold where train 2
     can hold its rate decoded-first everywhere, its budget goes slack and
     train 1 keeps its full solo rate (flat region boundary).
     """

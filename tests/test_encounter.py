@@ -131,8 +131,8 @@ def hook_search(monkeypatch):
     newton = encounter._newton
 
     def install(wrap):
-        def hooked(f, lo, hi, f_lo, f_hi, tol):
-            return newton(wrap(f, f_lo.size), lo, hi, f_lo, f_hi, tol)
+        def hooked(f, lo, hi, f_lo, f_hi, tol, x0=None):
+            return newton(wrap(f, f_lo.size), lo, hi, f_lo, f_hi, tol, x0)
 
         monkeypatch.setattr(encounter, "_newton", hooked)
 
@@ -329,7 +329,8 @@ class TestNoPriorityAllocation:
         assert rate_1 == pytest.approx(simpson_r1(sc, r2), abs=1e-9)
 
     def test_unconverged_solve_raises(self, monkeypatch):
-        monkeypatch.setattr(encounter, "_MAX_ITERATIONS", 2)
+        # a root started from the split table converges within two steps
+        monkeypatch.setattr(encounter, "_MAX_ITERATIONS", 1)
         sc = scenario(eta=0.8)
         with pytest.raises(ConvergenceError) as info:
             no_priority_allocation(sc, 0.5 * single_train_rmax(sc, 2))
@@ -662,30 +663,108 @@ class TestNewtonSearch:
         assert max(count.max(initial=0) for count in counts) <= 40
 
     def test_bisection_steps_stay_bracketed_per_element(self):
-        # a true, a zero and a wrong-signed slope in one batch: each element
-        # keeps its own bracket and has the bits of its lone search
+        # a true, a zero and a wrong-signed slope in one batch, each in its own
+        # bracket, from a start inside it, a nan start and one past its end:
+        # each element keeps its bracket and has the bits of its lone search
         roots = np.array([0.3, 1.0 / 3.0, 0.7])
         slopes = np.array([1.0, 0.0, -1.0])
+        lo, hi = np.array([0.25, 0.0, 0.5]), np.array([0.5, 1.0, 0.75])
+        starts = np.array([0.31, np.nan, 0.9])
+        seen = []
 
         def search(j):
             def f(x, i):
+                seen.append((x, i))
                 return x - roots[j][i], slopes[j][i]
 
-            return encounter._newton(f, 0.0, 1.0, -roots[j], 1.0 - roots[j], 1e-14)
+            return encounter._newton(f, lo[j], hi[j], lo[j] - roots[j], hi[j] - roots[j], 1e-14, starts[j])
 
         lam = search(slice(None))
         np.testing.assert_allclose(lam, roots, rtol=0.0, atol=1e-14)
+        for x, i in seen:
+            assert ((lo[i] < x) & (x < hi[i])).all()
         assert lam.tolist() == [search([j]).item() for j in range(3)]
 
 
 class TestRateRegion:
     @pytest.mark.parametrize("eta", [0.0, 0.4, 0.8, 1.2, 1.6])
     def test_default_grid_takes_few_integral_calls(self, between_calls, eta):
-        # a work-count guard: one call for both trains' fixed windows and one
-        # per Newton step make 8-10 here; two calls per step, integrals at the
-        # overlap ends and a final call at the roots took 22-26
+        # a work-count guard: one call for both trains' fixed windows, one for
+        # the split table and one per Newton step make 5-6 here; starts at the
+        # false-position point of the whole overlap took 8-10, and two calls per
+        # step, integrals at the overlap ends and a final call at the roots 22-26
         rate_region(load_config(None).encounter_scenario(eta=eta), 201)
-        assert len(between_calls) <= 11
+        assert len(between_calls) <= 6
+
+    def test_default_grid_takes_few_steps_per_point(self, hook_search):
+        # roots started from the split table take about 2.6 evaluations each
+        # here; from the false-position point of the whole overlap about 5.5
+        counts = []
+
+        def counted(f, n):
+            count = np.zeros(n, dtype=int)
+            counts.append(count)
+
+            def g(x, i):
+                np.add.at(count, i, 1)
+                return f(x, i)
+
+            return g
+
+        hook_search(counted)
+        for eta in (0.0, 0.4, 0.8, 1.2, 1.6):
+            rate_region(load_config(None).encounter_scenario(eta=eta), 201)
+        assert len(counts) == 5
+        assert sum(c.sum() for c in counts) / sum(c.size for c in counts) <= 3.0
+
+    def test_corner_is_the_priority_rate(self):
+        # a root within tolerance at the overlap end stays there: walking
+        # inward, where log usage is nearly flat, moves the corner by 1e-12
+        rng = random.Random(2529)
+        for _ in range(300):
+            sc = scenario(
+                eta=rng.uniform(0.0, 2.0),
+                p0=10.0 ** ((rng.uniform(37.0, 47.0) - 30.0) / 10.0),
+                alpha0=rng.uniform(2.0, 5.0),
+            )
+            assert rate_region(sc, 201).pairs[-1][0] == pytest.approx(priority_rate(sc, 2), rel=1e-14), sc
+
+    def test_table_brackets_every_root(self, monkeypatch):
+        # log usage falls along the split at every table point, and each search
+        # runs between adjacent table points whose values change sign, or ends
+        # at a table point within tolerance
+        brackets, newton = [], encounter._newton
+
+        def spied(f, lo, hi, f_lo, f_hi, tol, x0=None):
+            brackets.append((lo, hi, f_lo, f_hi))
+            return newton(f, lo, hi, f_lo, f_hi, tol, x0)
+
+        monkeypatch.setattr(encounter, "_newton", spied)
+        rng = random.Random(2530)
+        for _ in range(60):
+            sc = scenario(
+                eta=rng.uniform(0.0, 2.0),
+                p0=10.0 ** ((rng.uniform(37.0, 47.0) - 30.0) / 10.0),
+                alpha0=rng.uniform(2.0, 5.0),
+            )
+            trains = encounter._trains(sc)
+            (c1, c2), r_max_2 = trains.snr, trains.rmax[1]
+            lam, x1, g2, _, _ = encounter._split_table(sc, trains, encounter._shares(sc, trains))
+            z = 2.0 ** np.linspace(0.0, r_max_2, 101)[:, None] - 1.0
+            usage = z * (1.0 + c1 / (1.0 + z * x1) * g2) / c2
+            bound = usage[:, 0] > 1.0
+            assert (np.diff(np.log(usage[bound]), axis=1) <= 0.0).all(), sc
+            brackets.clear()
+            rate_region(sc, 101)
+            if not bound.any():
+                assert brackets == []
+                continue
+            ((lo, hi, f_lo, f_hi),) = brackets
+            k_lo, k_hi = np.searchsorted(lam, lo), np.searchsorted(lam, hi)
+            assert (lam[k_lo] == lo).all() and (lam[k_hi] == hi).all(), sc
+            assert np.isin(k_hi - k_lo, (0, 1)).all(), sc
+            tiny = (np.abs(f_lo) <= 1e-14) | (np.abs(f_hi) <= 1e-14)
+            assert (((f_lo > 0.0) != (f_hi > 0.0)) | tiny).all(), sc
 
     @pytest.mark.parametrize("eta, most", [(0.0, 2), (0.8, 2), (1.6, 2), (2.0, 1)])
     def test_default_symmetric_rate_takes_few_integral_calls(self, between_calls, eta, most):
