@@ -14,6 +14,7 @@ equality.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -168,11 +169,12 @@ def _shares(sc: EncounterScenario, trains: _Trains) -> Callable[[np.ndarray], tu
     """
     dt, t_ov = sc.half_coverage / sc.speed, sc.overlap_end  # dt/dlam
     whole = np.array(trains.whole)[:, None]
+    # train 1 over [0, t], train 2 over [t, overlap_end]
+    from_t, to_t = np.array([[0.0], [1.0]]), np.array([[True], [False]])
 
     def shares(lam):
         t = lam * sc.half_coverage / sc.speed  # overlap_end's order: lam = 2 - eta lands on it
-        lo, hi = np.zeros((2,) + np.shape(t)), np.full((2,) + np.shape(t), t_ov)
-        lo[1] = hi[0] = t  # train 1 over [0, t], train 2 over [t, overlap_end]
+        lo, hi = t * from_t, np.where(to_t, t, t_ov)
         (x1, g2), (dx1, dg2) = trains.cum.between(lo, hi) / whole, trains.cum.gain(t) * dt / whole
         return x1, g2, dx1, -dg2
 
@@ -182,18 +184,39 @@ def _shares(sc: EncounterScenario, trains: _Trains) -> Callable[[np.ndarray], tu
 _TABLE = 32  # equal cells of the split table that each region root starts from
 
 
-def _split_table(sc: EncounterScenario, trains: _Trains, shares: Callable) -> tuple[np.ndarray, ...]:
-    """``(lam, x1, g2, dx1, dg2)`` at the ``_TABLE + 1`` ends of equal cells on ``[0, 2 - eta]``.
+def _split_table(sc: EncounterScenario, trains: _Trains, shares: Callable) -> np.ndarray:
+    """Rows ``lam, x1, g2, dx1, dg2`` at the ``_TABLE + 1`` ends of equal cells on ``[0, 2 - eta]``.
 
     The interior takes one ``shares`` call. The ends read ``_Trains.end_shares``, and their
-    slopes the path gains at ``t = 0`` and the overlap end, so they take no integral.
+    slopes the path gains at ``t = 0`` and the overlap end, so they take no integral. The
+    cell ends are ``(2 - eta) * (j / _TABLE)``: ``_TABLE`` is a power of two, so ``j / _TABLE``
+    is exact, each end is the correctly rounded ``j``-th multiple of the cell width, and the
+    last is ``2 - eta`` itself.
     """
-    lam = np.linspace(0.0, 2.0 - sc.entry_offset, _TABLE + 1)
+    table = np.empty((5, _TABLE + 1))
+    lam = table[0] = (2.0 - sc.entry_offset) * (np.arange(_TABLE + 1) / _TABLE)
+    table[1:, 1:-1] = shares(lam[1:-1])
     (_, g2_at_zero), (x1_at_end, _) = trains.end_shares
+    table[1:3, ::_TABLE] = (0.0, x1_at_end), (g2_at_zero, 0.0)
     gain = trains.cum.gain(np.array([0.0, sc.overlap_end])) * (sc.half_coverage / sc.speed)
-    dx1, dg2 = gain / np.array(trains.whole)[:, None]
-    ends = (0.0, x1_at_end), (g2_at_zero, 0.0), dx1, -dg2
-    return lam, *(np.concatenate(([a], inner, [b])) for (a, b), inner in zip(ends, shares(lam[1:-1])))
+    table[3:, ::_TABLE] = gain / np.array(trains.whole)[:, None] * [[1.0], [-1.0]]  # dx1, -dg2: exact flip
+    return table
+
+
+def _thresholds(table: np.ndarray, trains: _Trains, tol: float) -> np.ndarray:
+    """The ``z2 = 2**R2 - 1`` above which each point of ``_split_table`` has log usage above ``tol``.
+
+    Usage rises with ``z2`` and falls along the split, so the thresholds rise along the table.
+    Each is the positive root of ``x1*z**2 + (1 + c1*g2 - c*x1)*z - c`` with ``c = c2*exp(tol)``,
+    taken in a form that does not cancel for either sign of the middle coefficient. It is
+    accurate to rounding, so a ``z2`` within a few ulps of one may sit on its wrong side.
+    """
+    (c1, c2), (x1, g2) = trains.snr, table[1:3]
+    c = c2 * math.exp(tol)
+    b = 1.0 + c1 * g2 - c * x1
+    root = np.sqrt(b * b + 4.0 * c * x1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # x1 is 0 at split 0, where b > 0
+        return np.where(b >= 0.0, 2.0 * c / (b + root), (root - b) / (2.0 * x1))
 
 
 _MAX_ITERATIONS = 100
@@ -209,42 +232,47 @@ def _newton(
     ``hi``. Safeguarded Newton from ``x0``, or from the false-position point of the ends where
     ``x0`` is not given, not finite or not strictly inside the bracket: after a step that failed
     to halve ``|f|`` (a cycle, or ``f`` flat on its rounding floor) it leaps 16 times that step's
-    length instead, and it bisects where a step would leave the bracket. It stops at
+    length instead, and it bisects where a step would leave the bracket; a step forms the leaps,
+    the bisections and the bracket check only if some element needs them. It stops at
     ``|f| <= tol`` or once the bracket has shrunk to rounding. No element reads another's, and
     each zero is the last point its function was evaluated at (``hi`` where it takes no step),
     so a caller may keep what ``f`` computed there.
     """
-    lo, hi = np.full(f_lo.shape, lo), np.full(f_lo.shape, hi)
-    out = hi.copy()
+    out = np.full(f_lo.shape, hi)
     i = np.flatnonzero((f_hi != 0.0) & ((f_hi > 0.0) != (f_lo > 0.0)))
-    f_lo, f_hi, lo, hi = f_lo[i], f_hi[i], lo[i], hi[i]
+    f_lo, f_hi, lo, hi = f_lo[i], f_hi[i], np.full(f_lo.shape, lo)[i], out[i]
     x = lo + (hi - lo) * f_lo / (f_lo - f_hi)
     if x0 is not None:
         x0 = x0[i]
         x = np.where((lo < x0) & (x0 < hi), x0, x)
     positive = f_lo > 0.0
-    f_from, last = np.full(i.size, np.inf), lo  # |f| (inf if it bisected) and x at the last step
+    f_from, last = np.inf, lo  # |f| (inf if it bisected) and x at the last step
+    inside = False  # every x is strictly inside its bracket: true after a step that took no bisection
     for _ in range(_MAX_ITERATIONS):
         if not i.size:
             return out
         fx, slope = f(x, i)
+        out[i] = x  # each zero is the last x written here
         size = np.abs(fx)
-        done = (size <= tol) | ~((lo < x) & (x < hi))
-        stopped = done.any()
-        if stopped:
-            out[i[done]] = x[done]
+        done = size <= tol
+        if not inside:
+            done |= ~((lo < x) & (x < hi))
         same = (fx > 0.0) == positive
         lo, hi = np.where(same, x, lo), np.where(same, hi, x)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = fx / slope
-        newton = x - step
-        halved = (size <= 0.5 * f_from) & (newton != x)
-        guess = np.where(halved, newton, x - np.copysign(16.0 * np.abs(x - last), step))
+        guess = x - step
+        halved = (size <= 0.5 * f_from) & (guess != x)
+        if np.count_nonzero(halved) < halved.size:  # some step failed to halve |f|: leap there
+            guess = np.where(halved, guess, x - np.copysign(16.0 * np.abs(x - last), step))
         ok = (lo < guess) & (guess < hi)
-        f_from, last = np.where(ok, size, np.inf), x
-        x = np.where(ok, guess, 0.5 * (lo + hi))
-        if stopped:
-            go = ~done
+        inside, last = np.count_nonzero(ok) == ok.size, x
+        if inside:
+            f_from, x = size, guess
+        else:  # bisect where a step would leave the bracket
+            f_from, x = np.where(ok, size, np.inf), np.where(ok, guess, 0.5 * (lo + hi))
+        if np.count_nonzero(done):
+            go = np.flatnonzero(~done)
             i, x, lo, hi, positive, f_from, last = (v[go] for v in (i, x, lo, hi, positive, f_from, last))
     if i.size:
         raise ConvergenceError(
@@ -381,11 +409,14 @@ def _allocate(sc: EncounterScenario, rate_2: np.ndarray, trains: _Trains) -> tup
     ``no_priority_allocation`` for a batch; train 2's solo maximum clips ``rate_2``. With
     ``z_i = 2**R_i - 1``, train 1's budget binds at ``z1 = c1/(1 + z2*x1)`` and train 2 uses
     ``z2*(1 + z1*g2)/c2`` of its own (solo SNRs ``c_i`` from ``_trains``, the rest from ``_shares``).
-    Once a point is bound, ``_split_table`` gives the log usage at ``_TABLE + 1`` splits, which
-    falls along the split: each root is bracketed by the adjacent table points where it changes
-    sign, and its search starts from the inverse cubic Hermite interpolant there. A table point
-    within tolerance is its own root. The table depends only on ``sc``, so a point has the same
-    bits in any batch.
+    Once a point is bound, ``_split_table`` gives the shares at ``_TABLE + 1`` splits, and log
+    usage falls along the split: each root lies in the cell that ends at the first table point
+    not above tolerance. One ``searchsorted`` of ``z2`` in ``_thresholds`` finds that cell, and
+    the log usage at the cell's two ends, by the search's own expression, confirms it; the few
+    points that a rounded threshold puts one cell off are re-decided from their log usage at
+    every table point. The search starts from the inverse cubic Hermite interpolant across the
+    cell. A table point within tolerance is its own root. The table depends only on ``sc``, so a
+    point has the same bits in any batch.
     """
     (rmax_1, rmax_2), (c1, c2) = trains.rmax, trains.snr
     if not np.all(rate_2 >= 0.0):
@@ -405,7 +436,7 @@ def _allocate(sc: EncounterScenario, rate_2: np.ndarray, trains: _Trains) -> tup
     if not bound.size:  # every point slack: no split to solve for
         return rate_1, rate_2, split, slack
     z, shares, tol = z[bound], _shares(sc, trains), 1e-14
-    lam, *table = _split_table(sc, trains, shares)
+    table = _split_table(sc, trains, shares)
 
     def usage(z2, x1, g2, dx1, dg2):
         z1 = c1 / (1.0 + z2 * x1)
@@ -417,18 +448,25 @@ def _allocate(sc: EncounterScenario, rate_2: np.ndarray, trains: _Trains) -> tup
         x1_at_root[i] = x1  # the last step of each search is at its root
         return usage(z[i], x1, g2, dx1, dg2)
 
-    f, slope = usage(z[:, None], *table)
+    def cell(hi):  # the cell that ends at table point hi: both ends, their log usage and slopes
+        cells = np.array((np.maximum(hi - 1, 0), hi))
+        return cells, *usage(z, *table[1:, cells])
+
     # Each root lies in the cell that ends at the first table point not above tol.
     # At the overlap end train 2 is never decoded first (g2 = 0), so its usage
     # there is z/c2: 1 only at its solo maximum. Rounding may leave it a hair
     # above, and then the split sits at the end.
-    above, rows = f > tol, np.arange(bound.size)
-    hi = np.where(above[:, -1], _TABLE, above.argmin(axis=1))
-    lo = np.maximum(hi - 1, 0)
-    f_lo, f_hi, d_lo, d_hi = f[rows, lo], f[rows, hi], slope[rows, lo], slope[rows, hi]
+    hi = np.minimum(np.searchsorted(_thresholds(table, trains, tol), z), _TABLE)
+    cells, (f_lo, f_hi), (d_lo, d_hi) = cell(hi)
+    # a threshold rounded to the wrong side of z puts a point one cell off: the
+    # table's own values decide those points
+    off = np.flatnonzero(((f_hi > tol) & (hi < _TABLE)) | ((f_lo <= tol) & (hi > 0)))
+    if off.size:
+        above = usage(z[off, None], *table[1:])[0] > tol
+        hi[off] = np.where(above[:, -1], _TABLE, above.argmin(axis=1))
+        cells, (f_lo, f_hi), (d_lo, d_hi) = cell(hi)
     f_hi[np.abs(f_hi) <= tol] = 0.0  # a table point within tol is its root: the search leaves it
-    x1_at_root = table[0][hi]
-    lo, hi = lam[lo], lam[hi]
+    (lo, hi), x1_at_root = table[0, cells], table[1, hi]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # the cubic through lam(log usage) at both ends, with slopes 1/d_lo and 1/d_hi, at 0
         s = f_lo / (f_lo - f_hi)
@@ -462,8 +500,9 @@ def rate_region(sc: EncounterScenario, grid_size: int) -> RateRegion:
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
     trains = _trains(sc)
-    r2s = [trains.rmax[1] * j / (grid_size - 1) for j in range(grid_size)]
-    pairs = tuple(zip(_allocate(sc, np.array(r2s), trains)[0].tolist(), r2s))
+    # the bits of rmax * j / (grid_size - 1); operator.index raises TypeError as range does
+    r2 = trains.rmax[1] * np.arange(operator.index(grid_size)) / (grid_size - 1)
+    pairs = tuple(zip(_allocate(sc, r2, trains)[0].tolist(), r2.tolist()))
     return RateRegion(pairs=pairs)
 
 
@@ -510,12 +549,12 @@ def symmetric_rate(sc: EncounterScenario) -> float:
     """
     trains = _trains(sc)
     shares, rates = _shares(sc, trains), _common_rates(trains)
-    # the rates at the overlap ends from their shares, in shape-(1,) arrays like
+    # the rates at both overlap ends from their shares in one call, elementwise as
     # the search's; no slope is needed there
-    at_zero, at_end = (rates(np.full(1, x1), np.full(1, g2), 0.0, 0.0) for x1, g2 in trains.end_shares)
-    found = at_zero
-    if at_zero[0] > at_zero[1]:
-        found = at_end  # a root the search does not move sits at the end
+    r1, r2, _ = rates(*np.array(trains.end_shares).T, 0.0, 0.0)
+    end_gap, found = r1 - r2, (r1[:1], r2[:1])
+    if end_gap[0] > 0.0:
+        found = r1[1:], r2[1:]  # a root the search does not move sits at the end
 
         def gap(lam, _=None):
             nonlocal found
@@ -523,5 +562,5 @@ def symmetric_rate(sc: EncounterScenario) -> float:
             r1, r2, slope = found
             return r1 - r2, slope
 
-        _newton(gap, 0.0, 2.0 - sc.entry_offset, at_zero[0] - at_zero[1], at_end[0] - at_end[1], 1e-13)
+        _newton(gap, 0.0, 2.0 - sc.entry_offset, end_gap[:1], end_gap[1:], 1e-13)
     return min(found[0].item(), found[1].item(), *trains.rmax)

@@ -120,7 +120,7 @@ class CumulativeIntegral:
         width = np.arcsinh(b * self._slope - self._offset) - sa
         # the largest width has the most panels; an empty batch takes one panel of nothing
         size = np.abs(width)
-        count = max(1, math.ceil(float(size.max(initial=0.0)) * self._panels_per_width))
+        count = max(1, math.ceil(float(np.maximum.reduce(size, None, initial=0.0)) * self._panels_per_width))
         if count > 1:
             panels = np.maximum(1.0, np.ceil(size * self._panels_per_width))
             half = 0.5 * width / panels
@@ -134,7 +134,7 @@ class CumulativeIntegral:
             np.cosh(nodes, out=nodes)
             nodes **= self._power
             nodes *= self._weights
-            panel = nodes.sum(axis=-1)
+            panel = np.add.reduce(nodes, -1)
             total = total + np.where(k < panels, panel, 0.0) if k else panel
         out = total * half
         return out if out.ndim else out.item()

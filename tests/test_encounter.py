@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -766,6 +767,63 @@ class TestRateRegion:
             tiny = (np.abs(f_lo) <= 1e-14) | (np.abs(f_hi) <= 1e-14)
             assert (((f_lo > 0.0) != (f_hi > 0.0)) | tiny).all(), sc
 
+    def test_threshold_lookup_brackets_as_the_dense_rule(self, monkeypatch):
+        # each bound point's cell is the one that ends at the first table point
+        # whose log usage is not above tol, on a regular grid and on R2s planted
+        # within a few ulps of every table point's threshold, where the lookup
+        # alone puts some points one cell off
+        brackets, newton, tol = [], encounter._newton, 1e-14
+
+        def spied(f, lo, hi, f_lo, f_hi, tol, x0=None):
+            brackets.append((lo, hi))
+            return newton(f, lo, hi, f_lo, f_hi, tol, x0)
+
+        monkeypatch.setattr(encounter, "_newton", spied)
+        rng, off = random.Random(2531), 0
+        for _ in range(40):
+            sc = scenario(
+                eta=rng.uniform(0.0, 1.95),
+                p0=10.0 ** ((rng.uniform(37.0, 47.0) - 30.0) / 10.0),
+                alpha0=rng.uniform(2.0, 5.0),
+            )
+            trains = encounter._trains(sc)
+            (c1, c2), r_max_2 = trains.snr, trains.rmax[1]
+            table = encounter._split_table(sc, trains, encounter._shares(sc, trains))
+            thresholds = encounter._thresholds(table, trains, tol)
+            r2 = [r_max_2 * j / 100 for j in range(101)]
+            for r in np.log2(1.0 + thresholds).tolist():
+                for k in range(-3, 4):
+                    r2.append(r)
+                    for _ in range(abs(k)):
+                        r2[-1] = math.nextafter(r2[-1], math.copysign(math.inf, k))
+            r2 = np.array([r for r in r2 if 0.0 < r <= r_max_2])
+            z = 2.0**r2 - 1.0
+            bound = z * (1.0 + c1 * trains.end_shares[0][1]) / c2 > 1.0
+            z = z[bound, None]
+            above = np.log(z * (1.0 + c1 / (1.0 + z * table[1]) * table[2]) / c2) > tol
+            hi = np.where(above[:, -1], encounter._TABLE, above.argmin(axis=1))
+            off += np.count_nonzero(np.minimum(np.searchsorted(thresholds, z[:, 0]), encounter._TABLE) != hi)
+            brackets.clear()
+            encounter._allocate(sc, r2, trains)
+            ((lo, hi_lam),) = brackets
+            assert lo.tolist() == table[0, np.maximum(hi - 1, 0)].tolist(), sc
+            assert hi_lam.tolist() == table[0, hi].tolist(), sc
+        assert off >= 100  # the fix-up ran
+
+    @pytest.mark.parametrize("eta", [0.0, 0.8, 1.6])
+    def test_dense_grid_allocates_little(self, eta):
+        # the bracket lookup builds no (grid, table) matrix: at 1001 points the
+        # traced peak was 1.34-1.38 MiB with one, about 0.83 MiB without
+        sc = load_config(None).encounter_scenario(eta=eta)
+        rate_region(sc, 1001)  # anything built once per process is not the solve's
+        tracemalloc.start()
+        try:
+            rate_region(sc, 1001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+
     @pytest.mark.parametrize("eta, most", [(0.0, 2), (0.8, 2), (1.6, 2), (2.0, 1)])
     def test_default_symmetric_rate_takes_few_integral_calls(self, between_calls, eta, most):
         # the solo caps, both end gaps and the rates at the root take no more
@@ -844,6 +902,16 @@ class TestRateRegion:
     def test_grid_size_validated(self):
         with pytest.raises(ValueError):
             rate_region(scenario(), 1)
+        with pytest.raises(TypeError):
+            rate_region(scenario(), 201.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 101, 201, 1001])
+    def test_r2_column_is_the_uniform_grid(self, n):
+        rng = random.Random(n)
+        for _ in range(5):
+            sc = scenario(eta=rng.uniform(0.0, 2.0), alpha0=rng.uniform(2.0, 5.0))
+            r_max_2 = single_train_rmax(sc, 2)
+            assert [r2 for _, r2 in rate_region(sc, n).pairs] == [r_max_2 * j / (n - 1) for j in range(n)]
 
     def test_flat_part_is_the_solo_rate(self):
         # R2 = 0 and every slack point carry train 1's solo maximum itself, not
@@ -974,6 +1042,23 @@ class TestSymmetricRate:
                 mid = 0.5 * (lo + hi)
                 lo, hi = (mid, hi) if no_priority_allocation(sc, mid)[0] >= mid else (lo, mid)
             assert symmetric_rate(sc) == pytest.approx(lo, rel=1e-10)
+
+    def test_end_rates_in_one_call_have_the_bits_of_one_call_each(self):
+        rng = random.Random(2532)
+        for j in range(200):
+            sc = scenario(
+                eta=2.0 if j % 20 == 0 else rng.uniform(0.0, 2.0),
+                p0=10.0 ** ((rng.uniform(37.0, 47.0) - 30.0) / 10.0),
+                alpha0=rng.uniform(2.0, 5.0),
+            )
+            trains = encounter._trains(sc)
+            rates = _common_rates(trains)
+            r1, r2, _ = rates(*np.array(trains.end_shares).T, 0.0, 0.0)
+            for k, (x1, g2) in enumerate(trains.end_shares):
+                alone = rates(np.full(1, x1), np.full(1, g2), 0.0, 0.0)
+                assert (alone[0][0], alone[1][0]) == (r1[k], r2[k]), sc
+            if r1[0] <= r2[0]:  # the answer sits at split 0
+                assert symmetric_rate(sc) == min(r1[0], r2[0], *trains.rmax), sc
 
     def test_increases_with_power(self):
         values = [
