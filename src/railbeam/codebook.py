@@ -10,20 +10,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
-from .csvout import row_format, write_csv
-from .geometry import ArrayConfig, _check_beam_count, _grid, beam_index, coverage_interval, total_coverage
+from .csvout import write_csv
+from .geometry import ArrayConfig, _check_beam_count, coverage_interval, total_coverage
+from .traverse import TraverseLog, _samples
 
 PHASE_TABLE_HEADER = ("beam_id", "element_id", "phase_rad")
-TRAVERSE_HEADER = ("t_s", "theta_b_rad", "beam_id", "switch")
-_TRAVERSE_ROW = row_format(TRAVERSE_HEADER, int_columns=("beam_id", "switch"))
-
-
-class NotYetEnteredError(ValueError):
-    """The station direction lies before the start of coverage."""
 
 
 @dataclass(frozen=True)
@@ -55,34 +50,13 @@ class SteeringVector:
     wavenumber: float  # rad/m
 
 
-class TraverseSample(NamedTuple):
-    """One fix of a traverse; a tuple, so it equals a plain tuple of the same values."""
-    time: float  # s
-    train_angle: float  # rad
-    beam_id: int
-    switched: bool
-
-
-@dataclass(frozen=True)
-class TraverseLog:
-    samples: tuple[TraverseSample, ...]
-
-    def switch_count(self) -> int:
-        return sum(1 for s in self.samples if s.switched)
-
-    def switch_times(self) -> list[float]:
-        return [s.time for s in self.samples if s.switched]
-
-
 def wavenumber(cfg: ArrayConfig) -> float:
     return 2.0 * math.pi / cfg.wavelength
 
 
 def _beam_centers(cfg: ArrayConfig, beam_count: int) -> np.ndarray:
     """Midpoints of the ``beam_count`` equal cells of the coverage interval."""
-    lo, _ = coverage_interval(cfg)
-    cell = total_coverage(cfg) / beam_count
-    return lo + (np.arange(1, beam_count + 1) - 0.5) * cell
+    return coverage_interval(cfg)[0] + np.arange(0.5, beam_count) * (total_coverage(cfg) / beam_count)
 
 
 def build_phase_mapper(cfg: ArrayConfig, beam_count: int) -> PhaseMapper:
@@ -95,7 +69,8 @@ def build_phase_mapper(cfg: ArrayConfig, beam_count: int) -> PhaseMapper:
     _check_beam_count(cfg, beam_count)
     centers = _beam_centers(cfg, beam_count)
     k = wavenumber(cfg)
-    phases = np.outer(np.arange(cfg.element_count), -k * cfg.spacing * np.cos(centers))
+    # one broadcast product; element 1's row is 0.0 * (-k d cos(centre)), -0.0 where cos > 0
+    phases = np.arange(float(cfg.element_count))[:, None] * (-k * cfg.spacing * np.cos(centers))
     return PhaseMapper(phases=phases, beam_centers=centers)
 
 
@@ -128,29 +103,6 @@ def array_factor(
         amplitudes = np.ones(mapper.element_count)
     total = float(np.sum(amplitudes))
     return float(np.abs(np.sum(amplitudes * vec)) ** 2) / total**2
-
-
-def _samples(trajectory: list[tuple[float, float]], cfg: ArrayConfig, beam_count: int) -> tuple:
-    """``simulate_traverse``'s samples; ``select_beam`` reads its rule through a one-fix trajectory."""
-    width, lo, hi, origin, half, _ = _grid(cfg, beam_count)
-    if trajectory and not (math.isfinite(trajectory[0][0]) and math.isfinite(trajectory[-1][0])):
-        raise ValueError("trajectory times must be finite")
-    samples, new, last_t, last_beam = [], tuple.__new__, -math.inf, None
-    for t, theta in trajectory:
-        if not t > last_t:  # nan fails too: between finite ends every time is finite
-            raise ValueError("trajectory times must be strictly increasing")
-        if lo <= theta < hi:
-            raw = math.floor((theta - origin) / width) + half  # _grid's locate, inline
-            beam = 1 if raw < 0 else beam_count if raw >= beam_count else raw + 1
-        elif theta >= hi:
-            beam = 1
-        elif theta < lo:
-            raise NotYetEnteredError(f"theta_b={theta:.6g} precedes coverage start {lo:.6g}")
-        else:
-            beam = beam_index(theta, cfg, beam_count)  # NaN: beam_index's OutOfCoverageError
-        samples.append(new(TraverseSample, (t, theta, beam, last_beam is not None and beam != last_beam)))
-        last_t, last_beam = t, beam
-    return tuple(samples)
 
 
 def select_beam(theta_b: float, mapper: PhaseMapper, cfg: ArrayConfig) -> tuple[int, np.ndarray]:
@@ -193,13 +145,3 @@ def phase_table_text(mapper: PhaseMapper) -> Iterator[str]:
 def export_phase_mapper(mapper: PhaseMapper, path: str | Path) -> None:
     """Write the phase table as beam_id,element_id,phase_rad rows."""
     write_csv(path, PHASE_TABLE_HEADER, phase_table_text(mapper))
-
-
-def traverse_text(log: TraverseLog) -> Iterator[str]:
-    """A traverse log as ``t_s,theta_b_rad,beam_id,switch`` CSV lines."""
-    return (_TRAVERSE_ROW.format(s.time, s.train_angle, s.beam_id, s.switched) for s in log.samples)
-
-
-def export_traverse(log: TraverseLog, path: str | Path) -> None:
-    """Write a traverse log as t_s,theta_b_rad,beam_id,switch rows."""
-    write_csv(path, TRAVERSE_HEADER, traverse_text(log))

@@ -18,11 +18,11 @@ from typing import Callable, Iterator, Sequence
 from . import __version__
 from .config import ExperimentConfig, dbm_to_watts
 from .csvout import row_format, write_csv
-from .geometry import coverage_interval, rail_coordinate
+from .geometry import _check_beam_count, coverage_interval, rail_coordinate
 from .positioning import search_beam_count
 
 # ``codebook`` and ``encounter`` (and so numpy) are imported inside the runners
-# that call them, so ``tradeoff`` and ``search-n`` runs never load numpy.
+# that call them, so ``tradeoff``, ``search-n`` and ``traverse`` never load numpy.
 
 
 @dataclass(frozen=True)
@@ -137,10 +137,10 @@ def _run_symmetric(cfg: ExperimentConfig):
 
 
 def _run_traverse(cfg: ExperimentConfig):
-    from .codebook import TRAVERSE_HEADER, build_phase_mapper, simulate_traverse, traverse_text
+    from .traverse import TRAVERSE_HEADER, TraverseLog, _samples, traverse_text
 
     array_cfg = cfg.array_config()
-    mapper = build_phase_mapper(array_cfg, cfg.beam_count)
+    _check_beam_count(array_cfg, cfg.beam_count)  # the count before the trajectory
     lo, hi = coverage_interval(array_cfg)
     margin = (hi - lo) * 1e-6
     u_start = rail_coordinate(lo + margin, cfg.d0_m)
@@ -152,7 +152,7 @@ def _run_traverse(cfg: ExperimentConfig):
         trajectory.append((t, math.atan2(cfg.d0_m, u)))
         t += cfg.traverse_dt_s
         u = u_start - cfg.v0_mps * t
-    log = simulate_traverse(trajectory, mapper, array_cfg)
+    log = TraverseLog(samples=_samples(trajectory, array_cfg, cfg.beam_count))
     return {"traverse.csv": (TRAVERSE_HEADER, traverse_text(log))}, []
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable
 
 SPEED_OF_LIGHT = 2.998e8  # m/s
 
@@ -157,31 +156,29 @@ def _offset(theta_b: float, width: float) -> int:
     return math.floor((2.0 * theta_b - math.pi) / (2.0 * width))
 
 
-def _grid(cfg: ArrayConfig, beam_count: int) -> tuple[float, float, float, float, int, Callable]:
-    """The package's one cell grid: ``(width, lo, hi, origin, half, locate)`` for ``beam_count`` cells.
+def _grid(cfg: ArrayConfig, beam_count: int) -> tuple[float, float, float, float, int]:
+    """The package's one cell grid: ``(width, lo, hi, origin, half)`` for ``beam_count`` cells.
 
-    ``(lo, hi)`` is ``coverage_interval``. ``theta`` lies in cell ``floor((theta - origin)/width)
-    + half``, clamped to [0, N-1]; ``locate(theta)`` gives it and its lower edge, and the codebook's
-    traverse loop writes the same floor and clamp inline. Even counts anchor the grid at broadside,
-    odd counts at ``lo``; both refine dyadically when the count doubles. All of it is taken once
-    per grid, not per angle.
+    ``(lo, hi)`` is ``coverage_interval``; ``_locate`` floors an angle into its cell from
+    ``(width, origin, half)``, and the codebook's traverse loop writes the same floor and clamp
+    inline. Even counts anchor the grid at broadside, odd counts at ``lo``; both refine
+    dyadically when the count doubles. All of it is taken once per grid, not per angle.
     """
     width = beamwidth(cfg, beam_count)
     lo, hi = coverage_interval(cfg)
     if beam_count % 2 == 0:
         # (theta - pi/2)/w has the bits of index_offset's (2*theta - pi)/(2*w):
         # fl(pi) == 2*fl(pi/2) and doubling is exact, so broadside is exact too
-        origin, half = math.pi / 2, beam_count // 2
-    else:
-        origin, half = lo, 0
+        return width, lo, hi, math.pi / 2, beam_count // 2
+    return width, lo, hi, lo, 0
 
-    def locate(theta: float) -> tuple[int, float]:
-        raw = math.floor((theta - origin) / width) + half
-        # the clamp gives the coverage edges, and rounding past them, to the outer cells
-        cell = 0 if raw < 0 else beam_count - 1 if raw >= beam_count else raw
-        return cell, origin + (cell - half) * width
 
-    return width, lo, hi, origin, half, locate
+def _locate(theta: float, width: float, origin: float, half: int, count: int) -> tuple[int, float]:
+    """``(cell, lower edge)`` of ``theta`` on a ``_grid``: ``floor((theta - origin)/width) + half`` in [0, N-1]."""
+    raw = math.floor((theta - origin) / width) + half
+    # the clamp gives the coverage edges, and rounding past them, to the outer cells
+    cell = 0 if raw < 0 else count - 1 if raw >= count else raw
+    return cell, origin + (cell - half) * width
 
 
 def beam_index(theta_b: float, cfg: ArrayConfig, beam_count: int) -> int:
@@ -191,10 +188,10 @@ def beam_index(theta_b: float, cfg: ArrayConfig, beam_count: int) -> int:
     midpoint); an angle on a shared cell edge belongs to the higher beam,
     and the upper coverage edge to beam N.
     """
-    _, lo, hi, _, _, locate = _grid(cfg, beam_count)
+    width, lo, hi, origin, half = _grid(cfg, beam_count)
     if not lo <= theta_b <= hi:
         raise OutOfCoverageError(f"theta_b={theta_b:.6g} outside coverage [{lo:.6g}, {hi:.6g}]")
-    return locate(theta_b)[0] + 1
+    return _locate(theta_b, width, origin, half, beam_count)[0] + 1
 
 
 def rail_coordinate(theta: float, perpendicular_distance: float) -> float:
@@ -216,10 +213,12 @@ def _rail_sine(theta_b: float, lo: float, hi: float) -> float:
     return s
 
 
-def _rail_cell(geo: RailGeometry, width: float, locate: Callable, s: float) -> tuple[int, float, float]:
-    """``(cell, left, right)``: the cell holding the relay's angle, of sine ``s``, and its rail bounds."""
+def _rail_cell(
+    geo: RailGeometry, s: float, width: float, origin: float, half: int, count: int
+) -> tuple[int, float, float]:
+    """``(cell, left, right)``: ``_locate``'s cell for the relay's angle, of sine ``s``, and its rail bounds."""
     theta_b, d0 = geo.train_angle, geo.perpendicular_distance
-    cell, edge_low = locate(theta_b)
+    cell, edge_low = _locate(theta_b, width, origin, half, count)
     left = max((theta_b - edge_low) * d0 / s, 0.0)
     right = max((edge_low + width - theta_b) * d0 / s, 0.0)
     return cell, left, right
@@ -234,15 +233,15 @@ def beam_bounds_on_rail(geo: RailGeometry, cfg: ArrayConfig, beam_count: int) ->
     The rail projection ``rail_coordinate`` fixes which edge lies on which
     side of the station.
     """
-    width, lo, hi, _, _, locate = _grid(cfg, beam_count)
-    _, left, right = _rail_cell(geo, width, locate, _rail_sine(geo.train_angle, lo, hi))
+    width, lo, hi, origin, half = _grid(cfg, beam_count)
+    _, left, right = _rail_cell(geo, _rail_sine(geo.train_angle, lo, hi), width, origin, half, beam_count)
     return left, right, left + right
 
 
 def beam_geometry(cfg: ArrayConfig, geo: RailGeometry, beam_count: int) -> BeamGeometry:
     """Bundle the per-beam figures for one beam count and relay position, all from one grid."""
-    width, lo, hi, _, _, locate = _grid(cfg, beam_count)
-    cell, left, right = _rail_cell(geo, width, locate, _rail_sine(geo.train_angle, lo, hi))
+    width, lo, hi, origin, half = _grid(cfg, beam_count)
+    cell, left, right = _rail_cell(geo, _rail_sine(geo.train_angle, lo, hi), width, origin, half, beam_count)
     return BeamGeometry(
         beam_count=beam_count, beamwidth=width, directivity=directivity(cfg, beam_count),
         beam_index=cell + 1, index_offset=_offset(geo.train_angle, width),

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import ArrayConfig, RailGeometry, _check_finite, _grid, _rail_cell, _rail_sine, directivity
+from .geometry import ArrayConfig, RailGeometry, _check_finite, _grid, _rail_cell, _rail_sine, beamwidth, directivity
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -73,22 +73,26 @@ def search_beam_count(
     ``model.max_beam_count``; along it the success probability can only
     fall as beams split, so the scan stops at the first miss. When even a
     single beam misses the threshold, the result carries ``feasible=False``
-    with that count.
+    with that count. One grid is read, at one beam, and each level halves
+    its width: that has ``beamwidth``'s bits while ``pi*spacing`` and the
+    width stay normal floats.
     """
     if model.max_beam_count > cfg.element_count:
         raise ValueError(f"max_beam_count {model.max_beam_count} exceeds element_count {cfg.element_count}")
-    width, lo, hi, _, _, locate = _grid(cfg, 1)  # the first level; coverage and sine are checked once
+    width, lo, hi, origin, half = _grid(cfg, 1)  # coverage and sine are checked once
     s, sigma = _rail_sine(geo.train_angle, lo, hi), model.error_stddev
+    narrowest = cfg.design_constant * cfg.wavelength / (math.pi * (cfg.spacing * model.max_beam_count))
+    halves = min(math.pi * cfg.spacing, narrowest) >= 2.0**-1022  # else each level takes beamwidth
     n, count, prob = 1, 1, None
     while True:
-        _, left, right = _rail_cell(geo, width, locate, s)
+        _, left, right = _rail_cell(geo, s, width, origin, half, count)
         p = effective_probability(left, right, sigma)
         if p < model.threshold:
             break
         n, count, prob = count, 2 * count, p
         if count > model.max_beam_count:
             break
-        width, _, _, _, _, locate = _grid(cfg, count)  # one grid per ladder level
+        width, origin, half = 0.5 * width if halves else beamwidth(cfg, count), math.pi / 2, count // 2
     if prob is None:
         return SearchResult(1, p, directivity(cfg, 1), False)
     return SearchResult(n, prob, directivity(cfg, n), True)

@@ -9,14 +9,11 @@ from numpy.testing import assert_allclose
 
 from railbeam.codebook import (
     PHASE_TABLE_HEADER,
-    NotYetEnteredError,
     PhaseMapper,
-    TraverseSample,
     _beam_centers,
     build_phase_mapper,
     array_factor,
     export_phase_mapper,
-    export_traverse,
     phase_table_text,
     select_beam,
     simulate_traverse,
@@ -39,6 +36,7 @@ from railbeam.geometry import (
     total_coverage,
     wavelength_from_frequency,
 )
+from railbeam.traverse import NotYetEnteredError, TraverseSample, export_traverse
 
 CFG8 = ArrayConfig(element_count=8, spacing=0.0625, wavelength=0.125)
 CFG64 = ArrayConfig(element_count=64, spacing=0.0625, wavelength=0.125)
@@ -103,6 +101,19 @@ class TestMapperConstruction:
     def test_rejects_more_beams_than_elements(self):
         with pytest.raises(ValueError):
             build_phase_mapper(CFG8, 9)
+
+    @pytest.mark.parametrize("elements", [1, 16, 128, 1024])
+    def test_table_bytes_match_outer_product_reference(self, elements):
+        # tobytes() makes the sign of every zero count, and the strides must agree too
+        cfg = ArrayConfig(element_count=elements, spacing=0.0625, wavelength=0.125)
+        lo, _ = coverage_interval(cfg)
+        for beams in sorted({1, max(1, elements // 3), elements}):
+            mapper = build_phase_mapper(cfg, beams)
+            centres = lo + (np.arange(1, beams + 1) - 0.5) * (total_coverage(cfg) / beams)
+            phases = np.outer(np.arange(elements), -wavenumber(cfg) * cfg.spacing * np.cos(centres))
+            assert mapper.beam_centers.tobytes() == centres.tobytes()
+            assert mapper.phases.tobytes() == phases.tobytes()
+            assert mapper.phases.strides == phases.strides
 
 
 class TestSteeringVector:
@@ -486,7 +497,7 @@ class TestPhaseTableText:
             assert chunk.count("\n") == elements
 
     def test_element_one_keeps_the_sign_of_zero(self):
-        # np.outer gives element 1 the phase 0 * (-k d cos(centre)): -0.0 where cos > 0
+        # element 1's phase is the product 0.0 * (-k d cos(centre)): -0.0 where cos > 0
         mapper = build_phase_mapper(CFG8, 8)
         cosines = np.cos(mapper.beam_centers)
         assert cosines[0] > 0 > cosines[-1]

@@ -58,6 +58,21 @@ class TestBeamwidth:
                 beamwidth(CANONICAL, n) / 2, rel=1e-14
             )
 
+    def test_doubling_halves_the_width_bit_for_bit(self):
+        # the beam-count search halves one grid's width per level instead of recomputing it
+        rng = random.Random(31)
+        for _ in range(2000):
+            n = 2 ** rng.randrange(0, 12) if rng.random() < 0.5 else rng.randrange(1, 3000)
+            cfg = ArrayConfig(
+                element_count=n, spacing=10.0 ** rng.uniform(-3.0, 0.0),
+                wavelength=10.0 ** rng.uniform(-2.0, 0.0), design_constant=rng.uniform(0.5, 5.0),
+                array_type_factor=rng.choice([2, 4]), bs_coverage_angle=1e-9,
+            )
+            k = 0
+            while 2**k <= n:
+                assert beamwidth(cfg, 2**k) == beamwidth(cfg, 1) * 0.5**k, (cfg, k)
+                k += 1
+
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
             beamwidth(CANONICAL, 0)

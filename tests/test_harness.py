@@ -296,7 +296,7 @@ import railbeam.cli
 from railbeam.config import load_config
 load_config(None)
 assert "numpy" not in sys.modules, "import railbeam.cli and load_config"
-for command in ("tradeoff", "search-n"):
+for command in ("tradeoff", "search-n", "traverse"):
     assert railbeam.cli.main(["--out", {str(tmp_path)!r}, command]) == 0
     assert "numpy" not in sys.modules, command
 """

@@ -6,6 +6,7 @@ import pytest
 
 from railbeam.geometry import (
     ArrayConfig,
+    _grid,
     OutOfCoverageError,
     RailGeometry,
     beam_bounds_on_rail,
@@ -132,6 +133,23 @@ def ladder_reference(cfg, geo, mdl):
     return SearchResult(n, p, directivity(cfg, n), True)
 
 
+def random_array(rng, cap):
+    """A random array of at least ``cap`` elements: a power of two or not, either array type."""
+    n = max(cap, 2 ** rng.randrange(0, 9) if rng.random() < 0.5 else rng.randrange(1, 300))
+    return ArrayConfig(
+        element_count=n, spacing=10.0 ** rng.uniform(-3.0, 0.0), wavelength=10.0 ** rng.uniform(-2.0, 0.0),
+        design_constant=rng.uniform(0.5, 5.0), array_type_factor=rng.choice([2, 4]), bs_coverage_angle=1e-9,
+    )
+
+
+def outcome(search, *args):
+    """A search's result, or its error as ``(type, message)``."""
+    try:
+        return search(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
 class TestSearch:
     def test_vanishing_error_takes_the_cap(self):
         geo = RailGeometry(50.0, 20.0, 1.2)
@@ -175,7 +193,7 @@ class TestSearch:
             assert got.optimal_beam_count == n
             assert got.feasible == feasible
 
-    @pytest.mark.parametrize("cap", [128, 100, 1])
+    @pytest.mark.parametrize("cap", [128, 100, 3, 1])
     def test_matches_per_count_reference_exactly(self, cap):
         rng = random.Random(26)
         lo, hi = coverage_interval(CFG)
@@ -187,6 +205,43 @@ class TestSearch:
             assert got == ladder_reference(CFG, geo, mdl), (geo, mdl)
             feasible += got.feasible
         assert 0 < feasible < 200
+        # random arrays, with angles on every level's cell edges and one ulp either side
+        # of them: the search halves one grid per level, the reference recomputes each
+        outcomes = set()
+        for _ in range(60):
+            cfg = random_array(rng, cap)
+            lo, hi = coverage_interval(cfg)
+            thetas = [rng.uniform(lo, hi)]
+            n = 1
+            while n <= cap:
+                width, _, _, origin, half = _grid(cfg, n)
+                for cell in {0, rng.randrange(n + 1), n}:
+                    edge = origin + (cell - half) * width
+                    thetas += [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
+                n *= 2
+            for theta in thetas:
+                geo = RailGeometry(rng.uniform(5.0, 150.0), 20.0, theta)
+                sigma = 0.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-3.0, 1.5)
+                mdl = model(sigma=sigma, threshold=rng.uniform(0.5, 0.99), cap=cap)
+                got = outcome(search_beam_count, cfg, geo, mdl)
+                assert got == outcome(ladder_reference, cfg, geo, mdl), (cfg, geo, mdl)
+                outcomes.add(got[0] if isinstance(got, tuple) else got.feasible)
+        assert outcomes >= {True, False, OutOfCoverageError}
+
+    @pytest.mark.parametrize("spacing, wavelength, design_constant, elements", [
+        (1e290, 1e154, 1e154, 2**70),  # pi*spacing*N overflows at N = 2**59: the reference divides by zero
+        (1e-310, 1.25e-310, 2.782, 64),  # pi*spacing is subnormal, so doubling N does not halve the width
+    ])
+    def test_leaves_the_halving_where_it_is_not_exact(self, spacing, wavelength, design_constant, elements):
+        cfg = ArrayConfig(element_count=elements, spacing=spacing, wavelength=wavelength,
+                          design_constant=design_constant, bs_coverage_angle=1e-9)
+        lo, hi = coverage_interval(cfg)
+        rng = random.Random(33)
+        for _ in range(20):
+            geo = RailGeometry(50.0, 0.0, rng.uniform(max(lo, 0.1), min(hi, 3.0)))
+            for sigma, threshold in [(0.0, 0.5), (1e-3, 0.9), (1.0, 0.5), (1.0, 0.9)]:
+                mdl = model(sigma=sigma, threshold=threshold, cap=elements)
+                assert outcome(search_beam_count, cfg, geo, mdl) == outcome(ladder_reference, cfg, geo, mdl)
 
     def test_cap_is_checked_before_the_coverage(self):
         with pytest.raises(ValueError, match="exceeds element_count") as info:
