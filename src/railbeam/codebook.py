@@ -16,7 +16,9 @@ import numpy as np
 
 from .csvout import write_csv
 from .geometry import ArrayConfig, _check_beam_count, coverage_interval, total_coverage
-from .traverse import TraverseLog, _samples
+from .traverse import (  # re-exported: the traverse log's names are codebook's public API too
+    TRAVERSE_HEADER, NotYetEnteredError, TraverseLog, TraverseSample, _samples, export_traverse, traverse_text,
+)
 
 PHASE_TABLE_HEADER = ("beam_id", "element_id", "phase_rad")
 

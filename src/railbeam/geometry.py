@@ -160,8 +160,8 @@ def _grid(cfg: ArrayConfig, beam_count: int) -> tuple[float, float, float, float
     """The package's one cell grid: ``(width, lo, hi, origin, half)`` for ``beam_count`` cells.
 
     ``(lo, hi)`` is ``coverage_interval``; ``_locate`` floors an angle into its cell from
-    ``(width, origin, half)``, and the codebook's traverse loop writes the same floor and clamp
-    inline. Even counts anchor the grid at broadside, odd counts at ``lo``; both refine
+    ``(width, origin, half)``, and the traverse loop ``traverse._samples`` writes the same floor
+    and clamp inline. Even counts anchor the grid at broadside, odd counts at ``lo``; both refine
     dyadically when the count doubles. All of it is taken once per grid, not per angle.
     """
     width = beamwidth(cfg, beam_count)
@@ -174,7 +174,7 @@ def _grid(cfg: ArrayConfig, beam_count: int) -> tuple[float, float, float, float
 
 
 def _locate(theta: float, width: float, origin: float, half: int, count: int) -> tuple[int, float]:
-    """``(cell, lower edge)`` of ``theta`` on a ``_grid``: ``floor((theta - origin)/width) + half`` in [0, N-1]."""
+    """``(cell, lower edge)`` of ``theta`` on a grid: ``floor((theta - origin)/width) + half``, in [0, N-1]."""
     raw = math.floor((theta - origin) / width) + half
     # the clamp gives the coverage edges, and rounding past them, to the outer cells
     cell = 0 if raw < 0 else count - 1 if raw >= count else raw
@@ -216,7 +216,7 @@ def _rail_sine(theta_b: float, lo: float, hi: float) -> float:
 def _rail_cell(
     geo: RailGeometry, s: float, width: float, origin: float, half: int, count: int
 ) -> tuple[int, float, float]:
-    """``(cell, left, right)``: ``_locate``'s cell for the relay's angle, of sine ``s``, and its rail bounds."""
+    """``(cell, left, right)``: the cell holding the relay's angle, of sine ``s``, and its rail bounds."""
     theta_b, d0 = geo.train_angle, geo.perpendicular_distance
     cell, edge_low = _locate(theta_b, width, origin, half, count)
     left = max((theta_b - edge_low) * d0 / s, 0.0)

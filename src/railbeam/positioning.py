@@ -73,16 +73,13 @@ def search_beam_count(
     ``model.max_beam_count``; along it the success probability can only
     fall as beams split, so the scan stops at the first miss. When even a
     single beam misses the threshold, the result carries ``feasible=False``
-    with that count. One grid is read, at one beam, and each level halves
-    its width: that has ``beamwidth``'s bits while ``pi*spacing`` and the
-    width stay normal floats.
+    with that count. One grid is read, at one beam; each level after it
+    takes ``beamwidth`` alone, with broadside as the origin.
     """
     if model.max_beam_count > cfg.element_count:
         raise ValueError(f"max_beam_count {model.max_beam_count} exceeds element_count {cfg.element_count}")
     width, lo, hi, origin, half = _grid(cfg, 1)  # coverage and sine are checked once
     s, sigma = _rail_sine(geo.train_angle, lo, hi), model.error_stddev
-    narrowest = cfg.design_constant * cfg.wavelength / (math.pi * (cfg.spacing * model.max_beam_count))
-    halves = min(math.pi * cfg.spacing, narrowest) >= 2.0**-1022  # else each level takes beamwidth
     n, count, prob = 1, 1, None
     while True:
         _, left, right = _rail_cell(geo, s, width, origin, half, count)
@@ -92,7 +89,7 @@ def search_beam_count(
         n, count, prob = count, 2 * count, p
         if count > model.max_beam_count:
             break
-        width, origin, half = 0.5 * width if halves else beamwidth(cfg, count), math.pi / 2, count // 2
+        width, origin, half = beamwidth(cfg, count), math.pi / 2, count // 2
     if prob is None:
         return SearchResult(1, p, directivity(cfg, 1), False)
     return SearchResult(n, prob, directivity(cfg, n), True)

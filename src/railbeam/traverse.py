@@ -1,5 +1,4 @@
-"""Location-driven beam selection along a trajectory, from the cell grid alone: no
-phase table and no numpy. ``codebook.simulate_traverse`` and ``select_beam`` apply it."""
+"""Beam selection from the cell grid alone, with no phase table and no numpy; ``codebook`` replays it."""
 
 from __future__ import annotations
 

@@ -9,11 +9,14 @@ from numpy.testing import assert_allclose
 
 from railbeam.codebook import (
     PHASE_TABLE_HEADER,
+    NotYetEnteredError,
     PhaseMapper,
+    TraverseSample,
     _beam_centers,
     build_phase_mapper,
     array_factor,
     export_phase_mapper,
+    export_traverse,
     phase_table_text,
     select_beam,
     simulate_traverse,
@@ -36,7 +39,6 @@ from railbeam.geometry import (
     total_coverage,
     wavelength_from_frequency,
 )
-from railbeam.traverse import NotYetEnteredError, TraverseSample, export_traverse
 
 CFG8 = ArrayConfig(element_count=8, spacing=0.0625, wavelength=0.125)
 CFG64 = ArrayConfig(element_count=64, spacing=0.0625, wavelength=0.125)

