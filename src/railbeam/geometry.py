@@ -10,6 +10,7 @@ station's position.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 SPEED_OF_LIGHT = 2.998e8  # m/s
@@ -68,7 +69,14 @@ class ArrayConfig:
             raise ValueError("design_constant must be positive")
         if self.array_type_factor not in (BROADSIDE, END_FIRE):
             raise ValueError("array_type_factor must be 2 (broadside) or 4 (end-fire)")
-        alpha = total_coverage(self)
+        if self.bs_coverage_angle <= 0:
+            raise ValueError("bs_coverage_angle must be positive")
+        if math.isinf(math.pi * (self.spacing * self.element_count)):
+            raise ValueError("pi * spacing * element_count overflows")
+        # widths fall as the count grows, so every count's width lies between these two
+        width, alpha = beamwidth(self, self.element_count), total_coverage(self)
+        if not (sys.float_info.min <= width and alpha < math.inf):
+            raise ValueError(f"beamwidths from {width!r} to {alpha!r} rad are not all positive normal floats")
         if not alpha > self.bs_coverage_angle:
             raise ValueError(
                 f"total coverage {alpha:.6g} rad must exceed the station "

@@ -1,12 +1,20 @@
 import csv
 import inspect
 import math
+import os
 import random
+import shutil
+import subprocess
+import sys
+import tempfile
+from array import array
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from railbeam import codebook
+from railbeam.cli import main
 from railbeam.codebook import (
     PHASE_TABLE_HEADER,
     NotYetEnteredError,
@@ -23,7 +31,7 @@ from railbeam.codebook import (
     steering_vector,
     wavenumber,
 )
-from railbeam.csvout import row_format
+from railbeam.csvout import row_format, write_csv
 from railbeam.geometry import (
     ArrayConfig,
     OutOfCoverageError,
@@ -482,21 +490,28 @@ class TestTraverse:
                 simulate_traverse([(t, 1.2) for t in times], mapper, CFG8)
 
 
+def per_row_reference(mapper):
+    """Each beam's text, one ``row_format`` call per row."""
+    row = row_format(PHASE_TABLE_HEADER, int_columns=("beam_id", "element_id"))
+    return [
+        "".join(row.format(beam, m, float(mapper.phases[m - 1, beam - 1])) for m in range(1, mapper.element_count + 1))
+        for beam in range(1, mapper.beam_count + 1)
+    ]
+
+
+def small_mapper(elements, beams):
+    return build_phase_mapper(ArrayConfig(element_count=elements, spacing=0.0625, wavelength=0.125), beams)
+
+
 class TestPhaseTableText:
     """The streamed phase table against a per-row reference in the shared CSV format."""
 
     @pytest.mark.parametrize("elements, beams", [(16, 5), (7, 3), (1, 1)])
     def test_bytes_match_per_row_reference(self, elements, beams):
-        mapper = build_phase_mapper(ArrayConfig(element_count=elements, spacing=0.0625, wavelength=0.125), beams)
-        row = row_format(PHASE_TABLE_HEADER, int_columns=("beam_id", "element_id"))
+        mapper = small_mapper(elements, beams)
         chunks = list(phase_table_text(mapper))
-        assert len(chunks) == beams
-        for beam, chunk in enumerate(chunks, start=1):
-            expected = "".join(
-                row.format(beam, m, float(mapper.phases[m - 1, beam - 1])) for m in range(1, elements + 1)
-            )
-            assert chunk == expected
-            assert chunk.count("\n") == elements
+        assert chunks == per_row_reference(mapper)
+        assert all(chunk.count("\n") == elements for chunk in chunks)
 
     def test_element_one_keeps_the_sign_of_zero(self):
         # element 1's phase is the product 0.0 * (-k d cos(centre)): -0.0 where cos > 0
@@ -506,6 +521,119 @@ class TestPhaseTableText:
         chunks = list(phase_table_text(mapper))
         assert chunks[0].startswith("1,1,-0\n")
         assert chunks[-1].startswith("8,1,0\n")
+
+    def test_default_table_stays_in_process(self):
+        # 128 x 128 rows: one chunk per beam, no helper
+        assert 128 * 128 < codebook._SPLIT_ROWS
+        assert len(list(phase_table_text(build_phase_mapper(CFG128, 128)))) == 128
+
+
+@pytest.fixture
+def scratch_tmp(tmp_path, monkeypatch):
+    """The split's temporary files go here, so a test can see that none is left."""
+    folder = tmp_path / "tmp"
+    folder.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(folder))
+    return folder
+
+
+def assert_nothing_left(folder):
+    with pytest.raises(ChildProcessError):  # no child process, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+    assert list(folder.iterdir()) == []
+
+
+class TestSplitPhaseTable:
+    """Large tables: the lower half of the beams formatted here, the upper half by a helper process."""
+
+    @pytest.mark.parametrize("elements, beams", [(16, 5), (7, 3), (1, 1), (64, 64)])
+    def test_bytes_match_per_row_reference(self, elements, beams, scratch_tmp):
+        mapper = small_mapper(elements, beams)
+        chunks = list(codebook._split_table_text(mapper.phases))
+        assert "".join(chunks) == "".join(per_row_reference(mapper))
+        assert all(chunk.endswith("\n") for chunk in chunks)
+        assert_nothing_left(scratch_tmp)
+
+    def test_element_one_keeps_the_sign_of_zero(self, scratch_tmp):
+        text = "".join(codebook._split_table_text(build_phase_mapper(CFG8, 8).phases))
+        assert text.startswith("1,1,-0\n")
+        assert "\n8,1,0\n" in text  # beam 8, formatted by the helper
+        assert_nothing_left(scratch_tmp)
+
+    def test_table_above_the_threshold(self, scratch_tmp):
+        mapper = small_mapper(1024, 513)  # an odd beam count: the helper takes the larger half
+        assert mapper.element_count * mapper.beam_count > codebook._SPLIT_ROWS
+        chunks = list(phase_table_text(mapper))
+        assert "".join(chunks) == "".join(per_row_reference(mapper))
+        assert all(chunk.endswith("\n") for chunk in chunks)
+        if codebook._cpus() >= 2:
+            assert len(chunks) != mapper.beam_count  # the helper's text came in blocks
+        assert_nothing_left(scratch_tmp)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_reaps_the_helper(self, scratch_tmp):
+        with pytest.raises(OSError):
+            write_csv("/dev/full", PHASE_TABLE_HEADER, codebook._split_table_text(small_mapper(64, 64).phases))
+        assert_nothing_left(scratch_tmp)
+
+    def test_directory_removed_mid_run(self, scratch_tmp):
+        chunks = codebook._split_table_text(small_mapper(64, 64).phases)
+        next(chunks)
+        (folder,) = scratch_tmp.iterdir()
+        shutil.rmtree(folder)
+        with pytest.raises(OSError):
+            list(chunks)
+        assert_nothing_left(scratch_tmp)
+
+    def test_closed_after_the_first_chunk(self, scratch_tmp):
+        chunks = codebook._split_table_text(small_mapper(64, 64).phases)
+        assert next(chunks).startswith("1,1,")
+        chunks.close()
+        assert_nothing_left(scratch_tmp)
+
+    def test_failing_helper_raises_with_its_stderr(self, scratch_tmp, monkeypatch):
+        monkeypatch.setattr(codebook, "_HELPER", "raise SystemExit('helper failed on purpose')")
+        with pytest.raises(ChildProcessError, match="status 1: helper failed on purpose"):
+            list(codebook._split_table_text(small_mapper(16, 5).phases))
+        assert_nothing_left(scratch_tmp)
+
+    def test_cli_reports_a_failing_helper(self, scratch_tmp, tmp_path, monkeypatch, capsys):
+        if codebook._cpus() < 2:
+            pytest.skip("the split needs two CPUs")
+        monkeypatch.setattr(codebook, "_SPLIT_ROWS", 1)
+        monkeypatch.setattr(codebook, "_HELPER", "raise SystemExit('helper failed on purpose')")
+        assert main(["--out", str(tmp_path / "out"), "export-codebook"]) == 2
+        assert capsys.readouterr().err == (
+            "cannot write output: phase table helper exited with status 1: helper failed on purpose\n"
+        )
+        assert_nothing_left(scratch_tmp)
+
+    def test_helper_keeps_the_bytecode_policy(self, tmp_path):
+        # -I hides PYTHONDONTWRITEBYTECODE from the helper, so the split passes it on as -B
+        shutil.copytree(os.path.dirname(codebook.__file__), tmp_path / "railbeam", ignore=shutil.ignore_patterns("__pycache__"))
+        code = "from railbeam.codebook import _split_table_text, build_phase_mapper, ArrayConfig\n"
+        code += "list(_split_table_text(build_phase_mapper(ArrayConfig(16, 0.0625, 0.125), 5).phases))"
+        env = dict(os.environ, PYTHONPATH=str(tmp_path), PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert not (tmp_path / "railbeam" / "__pycache__").exists()
+
+    def test_helper_imports_no_numpy(self, tmp_path):
+        columns = [[0.5, -0.0, 1e-300, 2.0 / 3.0], [-1.25, 3e10, 0.1, -7.0]]
+        with open(tmp_path / "columns.f64", "wb") as fh:
+            for column in columns:
+                array("d", column).tofile(fh)
+        root = os.path.dirname(os.path.dirname(codebook.__file__))
+        check = "; assert 'numpy' not in sys.modules, sorted(sys.modules)"
+        argv = [sys.executable, "-I", "-S", "-c", codebook._HELPER + check, root]
+        argv += [str(tmp_path / "columns.f64"), str(tmp_path / "part.csv"), "3", "2", "4"]
+        proc = subprocess.run(argv, stdin=subprocess.DEVNULL, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        row = row_format(PHASE_TABLE_HEADER, int_columns=("beam_id", "element_id"))
+        expected = "".join(
+            row.format(beam, m, value) for beam, column in enumerate(columns, 3) for m, value in enumerate(column, 1)
+        )
+        assert (tmp_path / "part.csv").read_text() == expected
 
 
 class TestCsvRoundTrip:

@@ -176,6 +176,11 @@ class TestRejections:
             with pytest.raises(ConfigError, match=r"theta_b_rad=.* outside the open coverage interval \(0\.685"):
                 load_config(write(tmp_path, text + "\n"))
 
+    @pytest.mark.parametrize("line", ["bs_coverage_angle_rad = 0", "bs_coverage_angle_deg = -5"])
+    def test_non_positive_station_angle_is_a_config_error(self, tmp_path, line):
+        with pytest.raises(ConfigError, match="bs_coverage_angle must be positive"):
+            load_config(write(tmp_path, line + "\n"))
+
     def test_coverage_invariant_surfaces_as_config_error(self, tmp_path):
         # spacing so large the covered angle drops below the station's
         with pytest.raises(ConfigError, match="coverage"):

@@ -281,6 +281,31 @@ class TestValidation:
         with pytest.raises(ValueError):
             RailGeometry(perpendicular_distance=10.0, antenna_height=-1.0)
 
+    @pytest.mark.parametrize("angle", [0.0, -1.0])
+    def test_station_angle_must_be_positive(self, angle):
+        # a non-positive angle would leave the coverage check above void
+        with pytest.raises(ValueError, match="bs_coverage_angle must be positive"):
+            ArrayConfig(element_count=4, spacing=0.5, wavelength=1.0, bs_coverage_angle=angle)
+
+    def test_extreme_array_names_the_overflow(self):
+        # pi*spacing*element_count overflows, so the finest width would round to 0: a later
+        # cell lookup divided by it and raised a bare ZeroDivisionError
+        with pytest.raises(ValueError, match=r"pi \* spacing \* element_count overflows"):
+            ArrayConfig(element_count=2**70, spacing=1e290, wavelength=1e154, design_constant=1e154)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            # finest width subnormal (3.2e-321 rad)
+            dict(element_count=10**30, spacing=1e-10, wavelength=1e-300, design_constant=1.0, bs_coverage_angle=1e-320),
+            # total coverage overflows to inf
+            dict(element_count=4, spacing=1e-300, wavelength=1e300, design_constant=1e5),
+        ],
+    )
+    def test_widths_must_be_positive_normal_floats(self, params):
+        with pytest.raises(ValueError, match="not all positive normal floats"):
+            ArrayConfig(**params)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize(
         "params, field",

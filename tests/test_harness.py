@@ -279,6 +279,25 @@ class TestCli:
         export_phase_mapper(mapper, tmp_path / "library.csv")
         assert (tmp_path / "library.csv").read_bytes() == (tmp_path / "codebook.csv").read_bytes()
 
+    def test_large_export_runs_clean_in_dev_mode(self, tmp_path):
+        # 1024 x 512 rows, at the helper-process threshold: no warning (an unclosed pipe or
+        # file would raise a ResourceWarning) and no file but the CSV and the manifest
+        from railbeam.codebook import _SPLIT_ROWS
+
+        assert 1024 * 512 >= _SPLIT_ROWS
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("element_count = 1024\nbeam_count = 512\n")
+        out = tmp_path / "o"
+        env = dict(os.environ, PYTHONPATH=str(Path(railbeam.__file__).parents[1]))
+        argv = [sys.executable, "-X", "dev", "-W", "error", "-m", "railbeam.cli"]
+        argv += ["--config", str(cfg), "--out", str(out), "export-codebook"]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stderr == ""
+        meta = json.loads((out / "export_codebook_manifest.json").read_text())
+        assert meta["files"] == {"codebook.csv": 1024 * 512}
+        assert sorted(p.name for p in out.iterdir()) == ["codebook.csv", "export_codebook_manifest.json"]
+
 
 class TestPackageExports:
     def test_all_names_are_unique_and_resolve(self):
@@ -296,9 +315,11 @@ import railbeam.cli
 from railbeam.config import load_config
 load_config(None)
 assert "numpy" not in sys.modules, "import railbeam.cli and load_config"
+assert not {{"subprocess", "array"}} & set(sys.modules), "import railbeam.cli and load_config"
 for command in ("tradeoff", "search-n", "traverse"):
     assert railbeam.cli.main(["--out", {str(tmp_path)!r}, command]) == 0
     assert "numpy" not in sys.modules, command
+    assert not {{"subprocess", "array"}} & set(sys.modules), command
 """
         env = dict(os.environ, PYTHONPATH=str(Path(railbeam.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
