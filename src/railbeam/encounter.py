@@ -230,13 +230,11 @@ def _newton(
     ``lo`` and ``hi`` are each element's bracket (scalars or arrays like ``f_lo``), ``f_lo != 0``
     and ``f_hi`` the values at its ends; where ``f_hi`` is zero or has ``f_lo``'s sign the zero is
     ``hi``. Safeguarded Newton from ``x0``, or from the false-position point of the ends where
-    ``x0`` is not given, not finite or not strictly inside the bracket: after a step that failed
-    to halve ``|f|`` (a cycle, or ``f`` flat on its rounding floor) it leaps 16 times that step's
-    length instead, and it bisects where a step would leave the bracket; a step forms the leaps,
-    the bisections and the bracket check only if some element needs them. It stops at
-    ``|f| <= tol`` or once the bracket has shrunk to rounding. No element reads another's, and
-    each zero is the last point its function was evaluated at (``hi`` where it takes no step),
-    so a caller may keep what ``f`` computed there.
+    ``x0`` is not given, not finite or not strictly inside the bracket. It bisects where a step
+    would leave the bracket, and a step forms the bisections and the bracket check only if some
+    element needs them. It stops at ``|f| <= tol`` or once the bracket has shrunk to rounding.
+    No element reads another's, and each zero is the last point its function was evaluated at
+    (``hi`` where it takes no step), so a caller may keep what ``f`` computed there.
     """
     out = np.full(f_lo.shape, hi)
     i = np.flatnonzero((f_hi != 0.0) & ((f_hi > 0.0) != (f_lo > 0.0)))
@@ -246,34 +244,26 @@ def _newton(
         x0 = x0[i]
         x = np.where((lo < x0) & (x0 < hi), x0, x)
     positive = f_lo > 0.0
-    f_from, last = np.inf, lo  # |f| (inf if it bisected) and x at the last step
     inside = False  # every x is strictly inside its bracket: true after a step that took no bisection
     for _ in range(_MAX_ITERATIONS):
         if not i.size:
             return out
         fx, slope = f(x, i)
         out[i] = x  # each zero is the last x written here
-        size = np.abs(fx)
-        done = size <= tol
+        done = np.abs(fx) <= tol
         if not inside:
             done |= ~((lo < x) & (x < hi))
         same = (fx > 0.0) == positive
         lo, hi = np.where(same, x, lo), np.where(same, hi, x)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = fx / slope
-        guess = x - step
-        halved = (size <= 0.5 * f_from) & (guess != x)
-        if np.count_nonzero(halved) < halved.size:  # some step failed to halve |f|: leap there
-            guess = np.where(halved, guess, x - np.copysign(16.0 * np.abs(x - last), step))
+            guess = x - fx / slope
         ok = (lo < guess) & (guess < hi)
-        inside, last = np.count_nonzero(ok) == ok.size, x
-        if inside:
-            f_from, x = size, guess
-        else:  # bisect where a step would leave the bracket
-            f_from, x = np.where(ok, size, np.inf), np.where(ok, guess, 0.5 * (lo + hi))
+        inside = np.count_nonzero(ok) == ok.size
+        # bisect where a step would leave the bracket
+        x = guess if inside else np.where(ok, guess, 0.5 * (lo + hi))
         if np.count_nonzero(done):
             go = np.flatnonzero(~done)
-            i, x, lo, hi, positive, f_from, last = (v[go] for v in (i, x, lo, hi, positive, f_from, last))
+            i, x, lo, hi, positive = (v[go] for v in (i, x, lo, hi, positive))
     if i.size:
         raise ConvergenceError(
             f"|f| > {tol:g} after {_MAX_ITERATIONS} steps for {i.size} of {out.size} elements"

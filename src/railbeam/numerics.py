@@ -86,7 +86,9 @@ class CumulativeIntegral:
     With ``speed*t - shift = sqrt(base)*sinh(s)`` the integrand becomes
     ``base**((exponent+1)/2) * cosh(s)**(exponent+1) / speed``, smooth in
     ``s``. One fixed Gauss-Legendre rule on ``ceil(|ds|*(exponent+1)/60)``
-    equal panels integrates it to about 3e-14 relative; nothing is cached.
+    equal panels integrates it to about 3e-14 relative; nothing is cached. The
+    width ``ds`` is formed without cancellation (see ``between``), so an interval
+    short beside its distance from closest approach keeps that precision.
 
     ``shift`` is a scalar, or a column ``[[shift_1], [shift_2], ...]`` that makes
     one row per shift: paths that share ``base``, ``speed`` and ``exponent`` are
@@ -116,8 +118,14 @@ class CumulativeIntegral:
         ``OverflowError``.
         """
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        sa = np.arcsinh(a * self._slope - self._offset)
-        width = np.arcsinh(b * self._slope - self._offset) - sa
+        y, x = a * self._slope - self._offset, b * self._slope - self._offset
+        sa = np.arcsinh(y)
+        # asinh(x) - asinh(y) = asinh(x*s_y - y*s_x) with s_u = sqrt(1 + u*u) cancels where x*y > 0;
+        # there it is (x - y)*(x + y)/(x*s_y + y*s_x), and x - y = (b - a)*slope. A NaN or
+        # infinite end makes a NaN or infinite width, on which math.ceil below raises.
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            p, q = x * np.hypot(1.0, y), y * np.hypot(1.0, x)
+            width = np.arcsinh(np.where(x * y > 0.0, (b - a) * self._slope * (x + y) / (p + q), p - q))
         # the largest width has the most panels; an empty batch takes one panel of nothing
         size = np.abs(width)
         count = max(1, math.ceil(float(np.maximum.reduce(size, None, initial=0.0)) * self._panels_per_width))

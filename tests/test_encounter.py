@@ -24,6 +24,7 @@ from railbeam.encounter import (
     tfds_baseline,
 )
 from railbeam.numerics import CumulativeIntegral, adaptive_simpson
+from test_numerics import exact_between
 
 NOISE = 10.0 ** (-13.4)
 P0 = 10.0 ** 1.3  # 43 dBm
@@ -106,6 +107,57 @@ def simpson_r1(sc, r2):
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if usage_2(mid) > 1.0 else (lo, mid)
     return rate_1(0.5 * (lo + hi))
+
+
+def exact_usage(sc, rate_1, rate_2, split):
+    """Both trains' power usage at ``(rate_1, rate_2, split)``, every integral from ``exact_between``."""
+    base = sc.perpendicular_distance**2 + sc.antenna_height**2
+    t_s, t_ov = split * sc.half_coverage / sc.speed, sc.overlap_end
+    shift_1, shift_2 = sc.half_coverage - sc.entry_offset * sc.half_coverage, sc.half_coverage
+
+    def gain(shift, a, b):
+        return exact_between(base, sc.speed, shift, int(sc.path_loss_exponent), a, b)
+
+    # train 1 is decoded first (boosted) before the split, train 2 after it
+    energy_1 = gain(shift_1, sc.entry_time, 0.0) + 2.0**rate_2 * gain(shift_1, 0.0, t_s)
+    energy_1 += gain(shift_1, t_s, t_ov)
+    energy_2 = gain(shift_2, t_ov, sc.exit_time) + gain(shift_2, 0.0, t_s)
+    energy_2 += 2.0**rate_1 * gain(shift_2, t_s, t_ov)
+    coeff = sc.noise_power / (sc.avg_power * sc.pass_duration)
+    return (
+        coeff * (2.0**rate_1 - 1.0) * energy_1 / sc.beam_weight_1,
+        coeff * (2.0**rate_2 - 1.0) * energy_2 / sc.beam_weight_2,
+    )
+
+
+def rate_2_at_split(sc, split):
+    """The R2 whose bound solve puts the split at ``split``: both budgets bind there."""
+    trains = encounter._trains(sc)
+    x1, g2, _, _ = encounter._shares(sc, trains)(np.array([split]))
+    return math.log2(1.0 + encounter._thresholds(np.array([[split], x1, g2]), trains, 0.0).item())
+
+
+def recorded(records):
+    """A ``hook_search`` wrap: each search appends its elements' evaluation counts and last ``|f|``."""
+
+    def wrap(f, n):
+        count, last = np.zeros(n, dtype=int), np.full(n, np.nan)
+        records.append((count, last))
+
+        def g(x, i):
+            value, slope = f(x, i)
+            np.add.at(count, i, 1)
+            last[i] = np.abs(value)
+            return value, slope
+
+        return g
+
+    return wrap
+
+
+def floor_scenario():
+    """An overlap of 0.0066 half stretches: there ``t*slope`` is small beside each train's shift."""
+    return scenario(eta=1.9934050851470186, p0=10.0 ** ((45.05467100775345 - 30.0) / 10.0), alpha0=4.0)
 
 
 def steepest_scenario():
@@ -318,6 +370,29 @@ class TestNoPriorityAllocation:
                         worst = max(worst, abs(profile.power_use(train) - 1.0))
         assert bound >= 48
         assert worst <= 1e-11
+
+    def test_budgets_bind_against_the_exact_integrals(self):
+        # independent of between: at the splits of seeded scenarios, of overlaps
+        # shorter than 1e-6 half stretches, and near split 0, where a width taken
+        # as the difference of the ends' arcsinh cancels
+        rng = random.Random(410)
+        cases = []
+        for _ in range(12):
+            eta, dbm = rng.uniform(0.0, 2.0), rng.uniform(37.0, 47.0)
+            sc = scenario(eta=eta, p0=10.0 ** ((dbm - 30.0) / 10.0), alpha0=rng.choice((2.0, 3.0, 4.0, 5.0)))
+            cases.append((sc, rng.uniform(0.02, 0.98) * (2.0 - eta)))
+        for k in (6, 7, 9):
+            for alpha0, share in ((3.0, 0.1), (3.0, 0.6), (4.0, 0.1), (4.0, 0.6)):
+                cases.append((scenario(eta=2.0 - 10.0**-k, alpha0=alpha0), share * 10.0**-k))
+        cases += [(scenario(eta=1.86, alpha0=4.0), 1.1e-3), (scenario(eta=0.039), 3.3e-4)]
+        worst = 0.0
+        for sc, split in cases:
+            rate_2 = rate_2_at_split(sc, split)
+            rate_1, found, profile = no_priority_allocation(sc, rate_2)
+            assert not profile.h2_budget_slack and found == pytest.approx(split, rel=1e-6), sc
+            for usage in exact_usage(sc, rate_1, rate_2, found):
+                worst = max(worst, abs(usage - 1.0))
+        assert worst <= 1e-12
 
     def test_steepest_boundary_point_matches_direct_quadrature(self):
         # At R2 = train 2's solo maximum the boundary is nearly vertical: a
@@ -662,6 +737,29 @@ class TestNewtonSearch:
         hook_search(counted)
         rate_region(sc, grid)
         assert max(count.max(initial=0) for count in counts) <= 40
+
+    def test_short_overlap_roots_end_within_tolerance(self, hook_search):
+        # each searched root stops at |log usage| <= tol, none on a collapsed bracket
+        records = []
+        hook_search(recorded(records))
+        rate_region(floor_scenario(), 201)
+        ((count, last),) = records
+        assert count.sum() > 0
+        assert (last[count > 0] <= 1e-14).all()  # the region search's stop
+
+    def test_random_scenarios_take_few_steps(self, hook_search):
+        # a third each with eta within 1e-9 of 0, within 1e-9 of 2 and uniform
+        rng = random.Random(1500)
+        records = []
+        hook_search(recorded(records))
+        for j in range(200):
+            eta = (rng.uniform(0.0, 1e-9), 2.0 - rng.uniform(0.0, 1e-9), rng.uniform(0.0, 2.0))[j % 3]
+            dbm = rng.uniform(30.0, 50.0)
+            sc = scenario(eta=eta, p0=10.0 ** ((dbm - 30.0) / 10.0), alpha0=rng.uniform(2.0, 5.0))
+            rate_region(sc, 361)
+            symmetric_rate(sc)
+        assert sum(count.sum() for count, _ in records) > 0
+        assert max(count.max(initial=0) for count, _ in records) <= 8
 
     def test_bisection_steps_stay_bracketed_per_element(self):
         # a true, a zero and a wrong-signed slope in one batch, each in its own

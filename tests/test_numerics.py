@@ -235,3 +235,34 @@ class TestCumulativeIntegral:
                 cum.between(a, b)
             with pytest.raises((ValueError, OverflowError)):
                 cum.between([0.0, a], [1.0, b])
+
+
+def encounter_rows(eta, exponent):
+    """Both trains' integral in the default encounter geometry (d0 50 m, h0 20 m, L 800 m,
+    v 100 m/s) at entry offset ``eta``, and the overlap end."""
+    return stacked(2900.0, 100.0, (800.0 - eta * 800.0, 800.0), exponent), (2.0 - eta) * 8.0
+
+
+class TestShortOverlaps:
+    # In a short overlap (eta near 2) t*slope is small beside the shift, so a width
+    # taken as the difference of the two ends' arcsinh would cancel.
+
+    def test_width_resolves_consecutive_floats(self):
+        # the "floor" scenario of the encounter tests; such a difference took 3
+        # distinct values per train over these 2,000 consecutive floats
+        cum, t_ov = encounter_rows(1.9934050851470186, 4.0)
+        start = 0.5 * t_ov
+        t = start + np.spacing(start) * np.arange(2000)  # exact: one binade
+        assert np.unique(t).size == 2000
+        for row in cum.between(t, t_ov):
+            assert np.unique(row).size >= 1000
+
+    @pytest.mark.parametrize("exponent", [3, 4])
+    def test_overlap_integral_matches_the_exact_reference(self, exponent):
+        for k in range(1, 10):
+            eta = 2.0 - 10.0**-k
+            cum, t_ov = encounter_rows(eta, float(exponent))
+            rows = cum.between(0.0, t_ov)[:, 0].tolist()
+            for got, shift in zip(rows, (800.0 - eta * 800.0, 800.0)):
+                exact = exact_between(2900.0, 100.0, shift, exponent, 0.0, t_ov)
+                assert got == pytest.approx(exact, rel=1e-14, abs=0.0), (k, shift)
