@@ -10,7 +10,8 @@ station.
 Each public name imports its module on first use, so ``import railbeam``
 loads no submodule and numpy is imported only by the layers that call it
 (``codebook``, ``encounter``, ``numerics``); a traverse log (``traverse``)
-needs no phase table and loads no numpy.
+needs no phase table and loads no numpy, and the ``export-codebook``
+subcommand writes the phase table from plain floats without numpy.
 """
 
 from importlib import import_module

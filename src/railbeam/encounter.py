@@ -232,7 +232,8 @@ def _newton(
     ``hi``. Safeguarded Newton from ``x0``, or from the false-position point of the ends where
     ``x0`` is not given, not finite or not strictly inside the bracket. It bisects where a step
     would leave the bracket, and a step forms the bisections and the bracket check only if some
-    element needs them. It stops at ``|f| <= tol`` or once the bracket has shrunk to rounding.
+    element needs them. It stops at ``|f| <= tol``, where the Newton step rounds back onto ``x``,
+    or once the bracket has shrunk to rounding.
     No element reads another's, and each zero is the last point its function was evaluated at
     (``hi`` where it takes no step), so a caller may keep what ``f`` computed there.
     """
@@ -257,6 +258,8 @@ def _newton(
         lo, hi = np.where(same, x, lo), np.where(same, hi, x)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             guess = x - fx / slope
+        # a Newton step that rounds back onto x is within half an ulp: no float lies nearer its root
+        done |= guess == x
         ok = (lo < guess) & (guess < hi)
         inside = np.count_nonzero(ok) == ok.size
         # bisect where a step would leave the bracket

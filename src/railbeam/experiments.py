@@ -17,12 +17,12 @@ from typing import Callable, Iterator, Sequence
 
 from . import __version__
 from .config import ExperimentConfig, dbm_to_watts
-from .csvout import row_format, write_csv
-from .geometry import _check_beam_count, coverage_interval, rail_coordinate
+from .csvout import PHASE_TABLE_HEADER, phase_text, row_format, write_csv
+from .geometry import _check_beam_count, _phase_steps, coverage_interval, rail_coordinate
 from .positioning import search_beam_count
 
-# ``codebook`` and ``encounter`` (and so numpy) are imported inside the runners
-# that call them, so ``tradeoff``, ``search-n`` and ``traverse`` never load numpy.
+# ``encounter`` (and so numpy) is imported inside the runners that call it, so
+# ``tradeoff``, ``search-n``, ``traverse`` and ``export-codebook`` never load numpy.
 
 
 @dataclass(frozen=True)
@@ -157,10 +157,16 @@ def _run_traverse(cfg: ExperimentConfig):
 
 
 def _run_export_codebook(cfg: ExperimentConfig):
-    from .codebook import PHASE_TABLE_HEADER, build_phase_mapper, phase_table_text
+    # codebook.build_phase_mapper's table, one column of plain floats at a time: no numpy
+    array_cfg = cfg.array_config()
+    steps = _phase_steps(array_cfg, cfg.beam_count)
+    elements = [float(m) for m in range(array_cfg.element_count)]
 
-    mapper = build_phase_mapper(cfg.array_config(), cfg.beam_count)
-    return {"codebook.csv": (PHASE_TABLE_HEADER, phase_table_text(mapper))}, []
+    def column(i: int) -> list[float]:
+        step = steps[i]
+        return [m * step for m in elements]
+
+    return {"codebook.csv": (PHASE_TABLE_HEADER, phase_text(len(elements), len(steps), column))}, []
 
 
 EXPERIMENTS: dict[str, Callable] = {

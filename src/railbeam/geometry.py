@@ -149,6 +149,19 @@ def beamwidth(cfg: ArrayConfig, beam_count: int) -> float:
     )
 
 
+def _phase_steps(cfg: ArrayConfig, beam_count: int) -> list[float]:
+    """Each beam's per-element phase step, ``-k*d*cos(centre)``, in plain floats.
+
+    Beam ``i+1`` steers at its cell midpoint ``lo + (i + 0.5)*width``, and element ``m+1``
+    of it gets ``m`` times its step: ``codebook.build_phase_mapper``'s numpy product,
+    stated again here with the same bits, so the phase table can be built without numpy.
+    """
+    _check_beam_count(cfg, beam_count)
+    lo, width = coverage_interval(cfg)[0], total_coverage(cfg) / beam_count
+    step = -(2.0 * math.pi / cfg.wavelength) * cfg.spacing
+    return [step * math.cos(lo + (i + 0.5) * width) for i in range(beam_count)]
+
+
 def directivity(cfg: ArrayConfig, beam_count: int) -> float:
     """Peak-over-isotropic gain of one beam; grows linearly with N."""
     _check_beam_count(cfg, beam_count)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from railbeam import codebook
+from railbeam import codebook, csvout
 from railbeam.cli import main
 from railbeam.codebook import (
     PHASE_TABLE_HEADER,
@@ -37,6 +37,7 @@ from railbeam.geometry import (
     OutOfCoverageError,
     RailGeometry,
     SingularGeometryError,
+    _phase_steps,
     beam_bounds_on_rail,
     beam_geometry,
     beam_index,
@@ -124,6 +125,23 @@ class TestMapperConstruction:
             assert mapper.beam_centers.tobytes() == centres.tobytes()
             assert mapper.phases.tobytes() == phases.tobytes()
             assert mapper.phases.strides == phases.strides
+
+    def test_numpy_free_columns_have_the_table_bits(self):
+        # export-codebook's columns, [m * step for m in elements], against the numpy product
+        rng = random.Random(3400)
+        for _ in range(300):
+            wavelength = wavelength_from_frequency(rng.uniform(0.7e9, 6.0e9))
+            elements = rng.randint(1, 160)
+            cfg = ArrayConfig(
+                element_count=elements,
+                spacing=wavelength * rng.uniform(0.35, 0.6),
+                wavelength=wavelength,
+                design_constant=rng.uniform(2.0, 3.0),
+            )
+            beams = rng.randint(1, elements)
+            floats = [float(m) for m in range(elements)]
+            columns = [m * step for step in _phase_steps(cfg, beams) for m in floats]
+            assert array("d", columns).tobytes() == build_phase_mapper(cfg, beams).phases.T.tobytes()
 
 
 class TestSteeringVector:
@@ -499,6 +517,12 @@ def per_row_reference(mapper):
     ]
 
 
+def plain_columns(mapper):
+    """``csvout``'s view of a mapper's table: its size and a lookup into ``phases.T.tolist()``."""
+    columns = mapper.phases.T.tolist()
+    return mapper.element_count, mapper.beam_count, columns.__getitem__
+
+
 def small_mapper(elements, beams):
     return build_phase_mapper(ArrayConfig(element_count=elements, spacing=0.0625, wavelength=0.125), beams)
 
@@ -524,7 +548,7 @@ class TestPhaseTableText:
 
     def test_default_table_stays_in_process(self):
         # 128 x 128 rows: one chunk per beam, no helper
-        assert 128 * 128 < codebook._SPLIT_ROWS
+        assert 128 * 128 < csvout._SPLIT_ROWS
         assert len(list(phase_table_text(build_phase_mapper(CFG128, 128)))) == 128
 
 
@@ -549,35 +573,35 @@ class TestSplitPhaseTable:
     @pytest.mark.parametrize("elements, beams", [(16, 5), (7, 3), (1, 1), (64, 64)])
     def test_bytes_match_per_row_reference(self, elements, beams, scratch_tmp):
         mapper = small_mapper(elements, beams)
-        chunks = list(codebook._split_table_text(mapper.phases))
+        chunks = list(csvout._split_table_text(*plain_columns(mapper)))
         assert "".join(chunks) == "".join(per_row_reference(mapper))
         assert all(chunk.endswith("\n") for chunk in chunks)
         assert_nothing_left(scratch_tmp)
 
     def test_element_one_keeps_the_sign_of_zero(self, scratch_tmp):
-        text = "".join(codebook._split_table_text(build_phase_mapper(CFG8, 8).phases))
+        text = "".join(csvout._split_table_text(*plain_columns(build_phase_mapper(CFG8, 8))))
         assert text.startswith("1,1,-0\n")
         assert "\n8,1,0\n" in text  # beam 8, formatted by the helper
         assert_nothing_left(scratch_tmp)
 
     def test_table_above_the_threshold(self, scratch_tmp):
         mapper = small_mapper(1024, 513)  # an odd beam count: the helper takes the larger half
-        assert mapper.element_count * mapper.beam_count > codebook._SPLIT_ROWS
+        assert mapper.element_count * mapper.beam_count > csvout._SPLIT_ROWS
         chunks = list(phase_table_text(mapper))
         assert "".join(chunks) == "".join(per_row_reference(mapper))
         assert all(chunk.endswith("\n") for chunk in chunks)
-        if codebook._cpus() >= 2:
+        if csvout._cpus() >= 2:
             assert len(chunks) != mapper.beam_count  # the helper's text came in blocks
         assert_nothing_left(scratch_tmp)
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_failed_write_reaps_the_helper(self, scratch_tmp):
         with pytest.raises(OSError):
-            write_csv("/dev/full", PHASE_TABLE_HEADER, codebook._split_table_text(small_mapper(64, 64).phases))
+            write_csv("/dev/full", PHASE_TABLE_HEADER, csvout._split_table_text(*plain_columns(small_mapper(64, 64))))
         assert_nothing_left(scratch_tmp)
 
     def test_directory_removed_mid_run(self, scratch_tmp):
-        chunks = codebook._split_table_text(small_mapper(64, 64).phases)
+        chunks = csvout._split_table_text(*plain_columns(small_mapper(64, 64)))
         next(chunks)
         (folder,) = scratch_tmp.iterdir()
         shutil.rmtree(folder)
@@ -586,22 +610,22 @@ class TestSplitPhaseTable:
         assert_nothing_left(scratch_tmp)
 
     def test_closed_after_the_first_chunk(self, scratch_tmp):
-        chunks = codebook._split_table_text(small_mapper(64, 64).phases)
+        chunks = csvout._split_table_text(*plain_columns(small_mapper(64, 64)))
         assert next(chunks).startswith("1,1,")
         chunks.close()
         assert_nothing_left(scratch_tmp)
 
     def test_failing_helper_raises_with_its_stderr(self, scratch_tmp, monkeypatch):
-        monkeypatch.setattr(codebook, "_HELPER", "raise SystemExit('helper failed on purpose')")
+        monkeypatch.setattr(csvout, "_HELPER", "raise SystemExit('helper failed on purpose')")
         with pytest.raises(ChildProcessError, match="status 1: helper failed on purpose"):
-            list(codebook._split_table_text(small_mapper(16, 5).phases))
+            list(csvout._split_table_text(*plain_columns(small_mapper(16, 5))))
         assert_nothing_left(scratch_tmp)
 
     def test_cli_reports_a_failing_helper(self, scratch_tmp, tmp_path, monkeypatch, capsys):
-        if codebook._cpus() < 2:
+        if csvout._cpus() < 2:
             pytest.skip("the split needs two CPUs")
-        monkeypatch.setattr(codebook, "_SPLIT_ROWS", 1)
-        monkeypatch.setattr(codebook, "_HELPER", "raise SystemExit('helper failed on purpose')")
+        monkeypatch.setattr(csvout, "_SPLIT_ROWS", 1)
+        monkeypatch.setattr(csvout, "_HELPER", "raise SystemExit('helper failed on purpose')")
         assert main(["--out", str(tmp_path / "out"), "export-codebook"]) == 2
         assert capsys.readouterr().err == (
             "cannot write output: phase table helper exited with status 1: helper failed on purpose\n"
@@ -611,8 +635,10 @@ class TestSplitPhaseTable:
     def test_helper_keeps_the_bytecode_policy(self, tmp_path):
         # -I hides PYTHONDONTWRITEBYTECODE from the helper, so the split passes it on as -B
         shutil.copytree(os.path.dirname(codebook.__file__), tmp_path / "railbeam", ignore=shutil.ignore_patterns("__pycache__"))
-        code = "from railbeam.codebook import _split_table_text, build_phase_mapper, ArrayConfig\n"
-        code += "list(_split_table_text(build_phase_mapper(ArrayConfig(16, 0.0625, 0.125), 5).phases))"
+        code = "from railbeam.codebook import build_phase_mapper, ArrayConfig\n"
+        code += "from railbeam.csvout import _split_table_text\n"
+        code += "columns = build_phase_mapper(ArrayConfig(16, 0.0625, 0.125), 5).phases.T.tolist()\n"
+        code += "list(_split_table_text(16, 5, columns.__getitem__))"
         env = dict(os.environ, PYTHONPATH=str(tmp_path), PYTHONDONTWRITEBYTECODE="1")
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -625,7 +651,7 @@ class TestSplitPhaseTable:
                 array("d", column).tofile(fh)
         root = os.path.dirname(os.path.dirname(codebook.__file__))
         check = "; assert 'numpy' not in sys.modules, sorted(sys.modules)"
-        argv = [sys.executable, "-I", "-S", "-c", codebook._HELPER + check, root]
+        argv = [sys.executable, "-I", "-S", "-c", csvout._HELPER + check, root]
         argv += [str(tmp_path / "columns.f64"), str(tmp_path / "part.csv"), "3", "2", "4"]
         proc = subprocess.run(argv, stdin=subprocess.DEVNULL, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

@@ -747,6 +747,42 @@ class TestNewtonSearch:
         assert count.sum() > 0
         assert (last[count > 0] <= 1e-14).all()  # the region search's stop
 
+    def test_steep_roots_stop_where_newton_rounds_onto_x(self, hook_search):
+        # log usage so steep that one ulp of the split moves it by more than the 1e-14
+        # stop, so no float meets it: each such root ends where Newton's step rounds
+        # back onto x, not by bisecting its bracket down to adjacent floats (53 evaluations)
+        sc = EncounterScenario(
+            half_coverage=1176.9920424505285,
+            speed=43.22160998090743,
+            perpendicular_distance=70.90439737767346,
+            antenna_height=5.782130537938071,
+            path_loss_exponent=4.344184659277651,
+            avg_power=39.68065712879311,
+            noise_power=2.203473275597475e-13,
+            entry_offset=0.2084336998943772,
+            beam_weight_1=201.99272741763357,
+            beam_weight_2=2.1087007309007086,
+        )
+        counts, steep = [], []
+
+        def wrap(f, n):
+            count, ulp_step = np.zeros(n, dtype=int), np.zeros(n)
+            counts.append(count)
+            steep.append(ulp_step)
+
+            def g(x, i):
+                value, slope = f(x, i)
+                np.add.at(count, i, 1)
+                ulp_step[i] = np.abs(slope) * np.spacing(x)
+                return value, slope
+
+            return g
+
+        hook_search(wrap)
+        rate_region(sc, 201)
+        assert max(step.max(initial=0.0) for step in steep) > 1e-14
+        assert max(count.max(initial=0) for count in counts) <= 13
+
     def test_random_scenarios_take_few_steps(self, hook_search):
         # a third each with eta within 1e-9 of 0, within 1e-9 of 2 and uniform
         rng = random.Random(1500)

@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -273,16 +274,28 @@ class TestCli:
         meta = json.loads((tmp_path / "o" / "export_codebook_manifest.json").read_text())
         assert meta["files"] == {"codebook.csv": 16 * 16}
 
-    def test_export_phase_mapper_matches_cli_bytes(self, small_cfg, tmp_path):
-        run_experiment(small_cfg, "export-codebook", tmp_path)
-        mapper = build_phase_mapper(small_cfg.array_config(), small_cfg.beam_count)
+    @pytest.mark.parametrize(
+        "elements, beams, carrier_hz",
+        [(128, 128, None), (16, 5, None), (7, 3, None), (1, 1, None), (1024, 513, None)]
+        + [(128, 128, random.Random(seed).uniform(0.7e9, 6.0e9)) for seed in (1, 2, 3)],
+        ids=["128x128", "16x5", "7x3", "1x1", "1024x513", "carrier-seed-1", "carrier-seed-2", "carrier-seed-3"],
+    )
+    def test_export_phase_mapper_matches_cli_bytes(self, tmp_path, elements, beams, carrier_hz):
+        # the CLI's numpy-free columns and the library's numpy table print the same bytes
+        text = f"element_count = {elements}\nbeam_count = {beams}\n"
+        if carrier_hz is not None:
+            text += f"carrier_frequency_hz = {carrier_hz!r}\n"
+        (tmp_path / "c.cfg").write_text(text)
+        cfg = load_config(tmp_path / "c.cfg")
+        run_experiment(cfg, "export-codebook", tmp_path)
+        mapper = build_phase_mapper(cfg.array_config(), cfg.beam_count)
         export_phase_mapper(mapper, tmp_path / "library.csv")
         assert (tmp_path / "library.csv").read_bytes() == (tmp_path / "codebook.csv").read_bytes()
 
     def test_large_export_runs_clean_in_dev_mode(self, tmp_path):
         # 1024 x 512 rows, at the helper-process threshold: no warning (an unclosed pipe or
         # file would raise a ResourceWarning) and no file but the CSV and the manifest
-        from railbeam.codebook import _SPLIT_ROWS
+        from railbeam.csvout import _SPLIT_ROWS
 
         assert 1024 * 512 >= _SPLIT_ROWS
         cfg = tmp_path / "c.cfg"
@@ -307,6 +320,8 @@ class TestPackageExports:
 
     def test_imports_load_only_what_is_used(self, tmp_path):
         # a fresh interpreter, so that modules this test session imported do not count
+        large = tmp_path / "large.cfg"
+        large.write_text("element_count = 1024\nbeam_count = 512\n")
         code = f"""
 import sys
 import railbeam
@@ -316,10 +331,14 @@ from railbeam.config import load_config
 load_config(None)
 assert "numpy" not in sys.modules, "import railbeam.cli and load_config"
 assert not {{"subprocess", "array"}} & set(sys.modules), "import railbeam.cli and load_config"
-for command in ("tradeoff", "search-n", "traverse"):
+for command in ("tradeoff", "search-n", "traverse", "export-codebook"):
     assert railbeam.cli.main(["--out", {str(tmp_path)!r}, command]) == 0
     assert "numpy" not in sys.modules, command
     assert not {{"subprocess", "array"}} & set(sys.modules), command
+# a table past the split threshold: only this subcommand may load subprocess and array
+argv = ["--config", {str(large)!r}, "--out", {str(tmp_path)!r}, "export-codebook"]
+assert railbeam.cli.main(argv) == 0
+assert "numpy" not in sys.modules, "export-codebook 1024 x 512"
 """
         env = dict(os.environ, PYTHONPATH=str(Path(railbeam.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
