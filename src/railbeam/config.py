@@ -242,6 +242,8 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
     cfg = ExperimentConfig(**converted)
 
     if "wavelength_m" not in converted:
+        if not cfg.carrier_frequency_hz > 0:
+            raise ConfigError(f"carrier_frequency_hz={cfg.carrier_frequency_hz:g} must be positive")
         cfg.wavelength_m = wavelength_from_frequency(cfg.carrier_frequency_hz)
     if "spacing_m" not in converted:
         cfg.spacing_m = cfg.wavelength_m / 2.0

@@ -159,29 +159,33 @@ def _trains(sc: EncounterScenario) -> _Trains:
     return _Trains(cum, weight, whole, solo, shared, snr, tuple(math.log1p(c) / LN2 for c in snr))
 
 
-def _shares(sc: EncounterScenario, trains: _Trains) -> Callable[[np.ndarray], tuple]:
-    """``shares(lam) -> (x1, g2, dx1, dg2)``: the solves' only reading of the decode-first split.
+def _shares(sc: EncounterScenario, trains: _Trains) -> Callable[..., tuple]:
+    """``shares(lam, curved=False) -> (x1, g2, dx1, dg2)``: the solves' only reading of the decode-first split.
 
     ``x1`` is train 1's share of its window integral before the split ``t = lam*L/v``, ``g2``
     train 2's share between it and the overlap end, ``dx1`` and ``dg2`` their slopes in ``lam``.
     Each call takes one stacked integral and one stacked path gain for both trains; at the
-    overlap ends ``_Trains.end_shares`` gives ``x1`` and ``g2`` with none.
+    overlap ends ``_Trains.end_shares`` gives ``x1`` and ``g2`` with none. With ``curved`` it
+    also returns their curvatures ``ddx1, ddg2``: each slope times ``d log gain/dlam`` there.
     """
     dt, t_ov = sc.half_coverage / sc.speed, sc.overlap_end  # dt/dlam
     whole = np.array(trains.whole)[:, None]
     # train 1 over [0, t], train 2 over [t, overlap_end]
     from_t, to_t = np.array([[0.0], [1.0]]), np.array([[True], [False]])
 
-    def shares(lam):
+    def shares(lam, curved=False):
         t = lam * sc.half_coverage / sc.speed  # overlap_end's order: lam = 2 - eta lands on it
         lo, hi = t * from_t, np.where(to_t, t, t_ov)
         (x1, g2), (dx1, dg2) = trains.cum.between(lo, hi) / whole, trains.cum.gain(t) * dt / whole
-        return x1, g2, dx1, -dg2
+        if not curved:
+            return x1, g2, dx1, -dg2
+        log_1, log_2 = trains.cum.log_gain_slope(t) * dt
+        return x1, g2, dx1, -dg2, dx1 * log_1, -dg2 * log_2
 
     return shares
 
 
-_TABLE = 32  # equal cells of the split table that each region root starts from
+_TABLE = 128  # equal cells of the split table that each region root starts from
 
 
 def _split_table(sc: EncounterScenario, trains: _Trains, shares: Callable) -> np.ndarray:
@@ -191,7 +195,8 @@ def _split_table(sc: EncounterScenario, trains: _Trains, shares: Callable) -> np
     slopes the path gains at ``t = 0`` and the overlap end, so they take no integral. The
     cell ends are ``(2 - eta) * (j / _TABLE)``: ``_TABLE`` is a power of two, so ``j / _TABLE``
     is exact, each end is the correctly rounded ``j``-th multiple of the cell width, and the
-    last is ``2 - eta`` itself.
+    last is ``2 - eta`` itself. With 128 cells the cubic start of most roots is close enough
+    for ``_newton`` to certify the step after its first evaluation.
     """
     table = np.empty((5, _TABLE + 1))
     lam = table[0] = (2.0 - sc.entry_offset) * (np.arange(_TABLE + 1) / _TABLE)
@@ -233,9 +238,14 @@ def _newton(
     ``x0`` is not given, not finite or not strictly inside the bracket. It bisects where a step
     would leave the bracket, and a step forms the bisections and the bracket check only if some
     element needs them. It stops at ``|f| <= tol``, where the Newton step rounds back onto ``x``,
-    or once the bracket has shrunk to rounding.
+    or once the bracket has shrunk to rounding. Where ``f`` also returns the curvatures ``f''``,
+    an element also stops one Newton step ``d`` past ``x``, without evaluating there, when the
+    step stays in its bracket, ``|d| <= 1e-7`` and ``|f''|*d*d <= tol/2``, so that Taylor's
+    remainder ``f''*d*d/2`` is within ``tol/4``, and ``|f'|*ulp(x) <= tol/4``, so that rounding
+    ``x + d`` to a float costs no more than that.
     No element reads another's, and each zero is the last point its function was evaluated at
-    (``hi`` where it takes no step), so a caller may keep what ``f`` computed there.
+    (``hi`` where it takes no step) or one certified step past it, so a caller may keep what
+    ``f`` computed there, carried along that step.
     """
     out = np.full(f_lo.shape, hi)
     i = np.flatnonzero((f_hi != 0.0) & ((f_hi > 0.0) != (f_lo > 0.0)))
@@ -249,7 +259,7 @@ def _newton(
     for _ in range(_MAX_ITERATIONS):
         if not i.size:
             return out
-        fx, slope = f(x, i)
+        fx, slope, *curvature = f(x, i)
         out[i] = x  # each zero is the last x written here
         done = np.abs(fx) <= tol
         if not inside:
@@ -258,9 +268,16 @@ def _newton(
         lo, hi = np.where(same, x, lo), np.where(same, hi, x)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             guess = x - fx / slope
-        # a Newton step that rounds back onto x is within half an ulp: no float lies nearer its root
-        done |= guess == x
-        ok = (lo < guess) & (guess < hi)
+            ok = (lo < guess) & (guess < hi)
+            # a Newton step that rounds back onto x is within half an ulp: no float lies nearer its root
+            done |= guess == x
+            if curvature:  # certify the step from the curvature instead of evaluating after it
+                step = guess - x
+                short = (np.abs(step) <= 1e-7) & (np.abs(curvature[0]) * (step * step) <= 0.5 * tol)
+                sure = short & ok & ~done & (np.abs(slope * np.spacing(x)) <= 0.25 * tol)
+                if np.count_nonzero(sure):
+                    out[i[sure]] = guess[sure]
+                    done |= sure
         inside = np.count_nonzero(ok) == ok.size
         # bisect where a step would leave the bracket
         x = guess if inside else np.where(ok, guess, 0.5 * (lo + hi))
@@ -408,8 +425,11 @@ def _allocate(sc: EncounterScenario, rate_2: np.ndarray, trains: _Trains) -> tup
     the log usage at the cell's two ends, by the search's own expression, confirms it; the few
     points that a rounded threshold puts one cell off are re-decided from their log usage at
     every table point. The search starts from the inverse cubic Hermite interpolant across the
-    cell. A table point within tolerance is its own root. The table depends only on ``sc``, so a
-    point has the same bits in any batch.
+    cell, and its function also gives the curvature of log usage, so ``_newton`` may certify a
+    root one step ``d`` past its last evaluation. Train 1's rate is then read at ``x1 + (dx1 +
+    ddx1*d/2)*d``, from the shares recorded at that evaluation; at an evaluated root ``d`` is 0.0
+    and ``x1`` keeps its bits. A table point within tolerance is its own root. The table depends
+    only on ``sc``, so a point has the same bits in any batch.
     """
     (rmax_1, rmax_2), (c1, c2) = trains.rmax, trains.snr
     if not np.all(rate_2 >= 0.0):
@@ -431,15 +451,23 @@ def _allocate(sc: EncounterScenario, rate_2: np.ndarray, trains: _Trains) -> tup
     z, shares, tol = z[bound], _shares(sc, trains), 1e-14
     table = _split_table(sc, trains, shares)
 
-    def usage(z2, x1, g2, dx1, dg2):
+    def usage(z2, x1, g2, dx1, dg2, *curvatures):
         z1 = c1 / (1.0 + z2 * x1)
+        a = 1.0 + z1 * g2
         # dz1 = -z1**2 * z2 * dx1 / c1; no integral is taken
-        return np.log(z2 * (1.0 + z1 * g2) / c2), z1 * (dg2 - z1 * z2 * dx1 * g2 / c1) / (1.0 + z1 * g2)
+        value, slope = np.log(z2 * a / c2), z1 * (dg2 - z1 * z2 * dx1 * g2 / c1) / a
+        if not curvatures:
+            return value, slope
+        # with k = z1*z2/c1: d2z1 = z1*(2*k**2*dx1**2 - k*ddx1), and the curvature of
+        # log usage is d2(1 + z1*g2)/(1 + z1*g2) - slope**2
+        (ddx1, ddg2), k = curvatures, z1 * z2 / c1
+        curve = z1 * (ddg2 - k * (2.0 * dx1 * dg2 + (ddx1 - 2.0 * k * dx1 * dx1) * g2)) / a
+        return value, slope, curve - slope * slope
 
     def log_usage(lam, i):
-        x1, g2, dx1, dg2 = shares(lam)
-        x1_at_root[i] = x1  # the last step of each search is at its root
-        return usage(z[i], x1, g2, dx1, dg2)
+        x1, g2, dx1, dg2, ddx1, ddg2 = shares(lam, curved=True)
+        seen[:, i] = lam, x1, dx1, ddx1  # each root is this point or one certified step past it
+        return usage(z[i], x1, g2, dx1, dg2, ddx1, ddg2)
 
     def cell(hi):  # the cell that ends at table point hi: both ends, their log usage and slopes
         cells = np.array((np.maximum(hi - 1, 0), hi))
@@ -459,14 +487,21 @@ def _allocate(sc: EncounterScenario, rate_2: np.ndarray, trains: _Trains) -> tup
         hi[off] = np.where(above[:, -1], _TABLE, above.argmin(axis=1))
         cells, (f_lo, f_hi), (d_lo, d_hi) = cell(hi)
     f_hi[np.abs(f_hi) <= tol] = 0.0  # a table point within tol is its root: the search leaves it
-    (lo, hi), x1_at_root = table[0, cells], table[1, hi]
+    # split, x1, dx1 and ddx1 where each search last evaluated; a root the search leaves is
+    # its table point, read with d = 0.0
+    seen = np.zeros((4, z.size))
+    seen[:2] = table[:2, hi]
+    lo, hi = table[0, cells]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # the cubic through lam(log usage) at both ends, with slopes 1/d_lo and 1/d_hi, at 0
         s = f_lo / (f_lo - f_hi)
         bend = (f_hi - f_lo) * s * (1.0 - s) * ((1.0 - s) / d_lo - s / d_hi)
         x0 = lo + s * s * (3.0 - 2.0 * s) * (hi - lo) + bend
-    split[bound] = _newton(log_usage, lo, hi, f_lo, f_hi, tol, x0)
-    rate_1[bound] = np.log1p(c1 / (1.0 + z * x1_at_root)) / LN2
+    split[bound] = root = _newton(log_usage, lo, hi, f_lo, f_hi, tol, x0)
+    at, x1, dx1, ddx1 = seen
+    d = root - at  # 0.0 at an evaluated root, where x1 keeps its bits
+    x1 = x1 + (dx1 + ddx1 * d / 2.0) * d
+    rate_1[bound] = np.log1p(c1 / (1.0 + z * x1)) / LN2
     return rate_1, rate_2, split, slack
 
 

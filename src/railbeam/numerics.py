@@ -101,6 +101,7 @@ class CumulativeIntegral:
         self._gain_power = 0.5 * self._power - 0.5
         inv_root = 1.0 / math.sqrt(base)
         self._slope, self._offset = speed * inv_root, np.asarray(shift, dtype=float) * inv_root
+        self._log_gain_scale = exponent * self._slope
         self._weights = _WEIGHTS * (base ** (0.5 * self._power) / speed)
         self._scale = base ** (0.5 * exponent)
 
@@ -151,3 +152,8 @@ class CumulativeIntegral:
         """The path gain at ``t``, one row per shift: the slope of ``between(a, t)`` in ``t``."""
         u = t * self._slope - self._offset
         return self._scale * (1.0 + u * u) ** self._gain_power
+
+    def log_gain_slope(self, t):
+        """The slope of ``log(gain(t))`` in ``t``, one row per shift: ``exponent*slope*u/(1 + u*u)``."""
+        u = t * self._slope - self._offset
+        return self._log_gain_scale * u / (1.0 + u * u)

@@ -181,6 +181,12 @@ class TestRejections:
         with pytest.raises(ConfigError, match="bs_coverage_angle must be positive"):
             load_config(write(tmp_path, line + "\n"))
 
+    @pytest.mark.parametrize("value", ["0", "-2.4e9"])
+    def test_non_positive_carrier_frequency_is_a_config_error(self, tmp_path, value):
+        # used to escape as the bare ValueError of wavelength_from_frequency
+        with pytest.raises(ConfigError, match=re.escape(f"carrier_frequency_hz={float(value):g} must be positive")):
+            load_config(write(tmp_path, f"carrier_frequency_hz = {value}\n"))
+
     def test_coverage_invariant_surfaces_as_config_error(self, tmp_path):
         # spacing so large the covered angle drops below the station's
         with pytest.raises(ConfigError, match="coverage"):

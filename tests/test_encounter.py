@@ -145,14 +145,62 @@ def recorded(records):
         records.append((count, last))
 
         def g(x, i):
-            value, slope = f(x, i)
+            out = f(x, i)
             np.add.at(count, i, 1)
-            last[i] = np.abs(value)
-            return value, slope
+            last[i] = np.abs(out[0])
+            return out
 
         return g
 
     return wrap
+
+
+def region_roots(monkeypatch, sc, grid):
+    """The bound points of ``rate_region(sc, grid)``, with everything re-evaluated at their splits.
+
+    Returns log usage evaluated afresh at each split, R1 from a fresh ``x1`` there, the R1 that
+    ``rate_region`` returned, and which roots the search certified one step past its last
+    evaluation instead of evaluating them.
+    """
+    allocate, newton, found = encounter._allocate, encounter._newton, {}
+
+    def spied_allocate(*args):
+        found["allocation"] = allocate(*args)
+        return found["allocation"]
+
+    def spied_newton(f, lo, hi, f_lo, f_hi, tol, x0=None):
+        last = found["last"] = np.full(f_lo.shape, np.nan)
+
+        def g(x, i):
+            last[i] = x
+            return f(x, i)
+
+        return newton(g, lo, hi, f_lo, f_hi, tol, x0)
+
+    with monkeypatch.context() as m:
+        m.setattr(encounter, "_allocate", spied_allocate)
+        m.setattr(encounter, "_newton", spied_newton)
+        returned = [r1 for r1, _ in rate_region(sc, grid).pairs]
+    rate_1, rate_2, split, slack = found["allocation"]
+    assert rate_1.tolist() == returned
+    trains = encounter._trains(sc)
+    (c1, c2), bound = trains.snr, ~slack
+    z, root = 2.0 ** rate_2[bound] - 1.0, split[bound]
+    x1, g2 = encounter._shares(sc, trains)(root)[:2]
+    z1 = c1 / (1.0 + z * x1)
+    last = found.get("last", root)
+    return np.log(z * (1.0 + z1 * g2) / c2), np.log1p(z1) / math.log(2.0), rate_1[bound], last != root
+
+
+def readme_scenario(index):
+    """Scenario ``index`` (from 0) of README's 7,500-scenario draw from ``random.Random(7500)``."""
+    rng = random.Random(7500)
+    for j in range(index + 1):
+        eta = rng.uniform(1.95, 2.0) if j % 5 == 4 else rng.uniform(0.0, 2.0)
+        geometry = [rng.uniform(lo, hi) for lo, hi in ((200.0, 1500.0), (20.0, 150.0), (10.0, 100.0), (5.0, 50.0))]
+        exponent, dbm, noise = rng.uniform(2.0, 5.0), rng.uniform(37.0, 47.0), 10.0 ** rng.uniform(-14.0, -12.5)
+        weights = rng.uniform(1.0, 512.0), rng.uniform(1.0, 512.0)
+    return EncounterScenario(*geometry, exponent, 10.0 ** ((dbm - 30.0) / 10.0), noise, eta, *weights)
 
 
 def floor_scenario():
@@ -405,8 +453,8 @@ class TestNoPriorityAllocation:
         assert rate_1 == pytest.approx(simpson_r1(sc, r2), abs=1e-9)
 
     def test_unconverged_solve_raises(self, monkeypatch):
-        # a root started from the split table converges within two steps
-        monkeypatch.setattr(encounter, "_MAX_ITERATIONS", 1)
+        # a certified root can stop at the first evaluation, so the search gets none
+        monkeypatch.setattr(encounter, "_MAX_ITERATIONS", 0)
         sc = scenario(eta=0.8)
         with pytest.raises(ConvergenceError) as info:
             no_priority_allocation(sc, 0.5 * single_train_rmax(sc, 2))
@@ -635,9 +683,11 @@ class TestNewtonSearch:
             span = 2.0 - sc.entry_offset
             lam = np.array([0.25 * span, 0.5 * span, 0.75 * span, root])
             i = np.zeros(lam.size, dtype=int)
-            slope = f(lam, i)[1]
+            _, slope, curvature = f(lam, i)
             numeric = central_difference(lambda x: f(x, i)[0], lam)
             np.testing.assert_allclose(slope, numeric, rtol=1e-6, atol=SLOPE_ABS)
+            numeric = central_difference(lambda x: f(x, i)[1], lam)
+            np.testing.assert_allclose(curvature, numeric, rtol=1e-6, atol=SLOPE_ABS)
         assert checked >= 30
 
     def test_gap_slope_matches_central_difference(self):
@@ -674,8 +724,8 @@ class TestNewtonSearch:
         _, good, _ = no_priority_allocation(sc, r2)
 
         def spoiled(f, n):
-            def g(x, i):
-                value, slope = f(x, i)
+            def g(x, i):  # a spoiled slope certifies nothing, so the curvature is dropped
+                value, slope = f(x, i)[:2]
                 return value, bad(slope)
 
             return g
@@ -738,14 +788,41 @@ class TestNewtonSearch:
         rate_region(sc, grid)
         assert max(count.max(initial=0) for count in counts) <= 40
 
-    def test_short_overlap_roots_end_within_tolerance(self, hook_search):
-        # each searched root stops at |log usage| <= tol, none on a collapsed bracket
+    def test_short_overlap_roots_end_within_tolerance(self, hook_search, monkeypatch):
+        # each searched root stops at |log usage| <= tol, evaluated there or certified one
+        # Newton step past its last evaluation, none on a collapsed bracket
         records = []
         hook_search(recorded(records))
-        rate_region(floor_scenario(), 201)
-        ((count, last),) = records
+        value = region_roots(monkeypatch, floor_scenario(), 201)[0]
+        ((count, _),) = records
         assert count.sum() > 0
-        assert (last[count > 0] <= 1e-14).all()  # the region search's stop
+        assert (np.abs(value) <= 1e-14).all()  # the region search's stop, evaluated afresh
+
+    def test_roots_evaluated_afresh_stay_within_tolerance(self, monkeypatch):
+        # a certified root is not evaluated by the search; afresh, its log usage is still
+        # within the 1e-14 stop (9.99e-15 at worst here), and R1 from the x1 carried along
+        # the certified step is R1 from a fresh x1 to the integrals' rounding (2.0e-15 here)
+        rng, certified = random.Random(1501), 0
+        for j in range(60):
+            eta = (rng.uniform(0.0, 1e-9), 2.0 - rng.uniform(0.0, 1e-9), rng.uniform(0.0, 2.0))[j % 3]
+            dbm = rng.uniform(30.0, 50.0)
+            sc = scenario(eta=eta, p0=10.0 ** ((dbm - 30.0) / 10.0), alpha0=rng.uniform(2.0, 5.0))
+            value, fresh, returned, sure = region_roots(monkeypatch, sc, 201)
+            assert (np.abs(value) <= 1e-14).all(), sc
+            np.testing.assert_allclose(returned, fresh, rtol=4e-15, atol=0.0)
+            certified += np.count_nonzero(sure)
+        assert certified >= 5000
+
+    def test_steep_roots_are_never_certified_above_tolerance(self, monkeypatch):
+        # scenario 3881 of README's draw: where one ulp of the split moves log usage by more
+        # than the stop, roots end above it where Newton's step rounds onto x (170 here).
+        # The certificate refuses steps where that ulp moves it by more than tol/4, so the
+        # roots it certifies all end within tolerance afresh
+        value, fresh, returned, sure = region_roots(monkeypatch, readme_scenario(3881), 361)
+        assert np.count_nonzero(np.abs(value) > 1e-14) > 100
+        assert np.count_nonzero(sure) >= 10
+        assert (np.abs(value[sure]) <= 1e-14).all()
+        np.testing.assert_allclose(returned, fresh, rtol=4e-15, atol=0.0)
 
     def test_steep_roots_stop_where_newton_rounds_onto_x(self, hook_search):
         # log usage so steep that one ulp of the split moves it by more than the 1e-14
@@ -771,10 +848,10 @@ class TestNewtonSearch:
             steep.append(ulp_step)
 
             def g(x, i):
-                value, slope = f(x, i)
+                out = f(x, i)
                 np.add.at(count, i, 1)
-                ulp_step[i] = np.abs(slope) * np.spacing(x)
-                return value, slope
+                ulp_step[i] = np.abs(out[1]) * np.spacing(x)
+                return out
 
             return g
 
@@ -825,15 +902,18 @@ class TestRateRegion:
     @pytest.mark.parametrize("eta", [0.0, 0.4, 0.8, 1.2, 1.6])
     def test_default_grid_takes_few_integral_calls(self, between_calls, eta):
         # a work-count guard: one call for both trains' fixed windows, one for
-        # the split table and one per Newton step make 5-6 here; starts at the
-        # false-position point of the whole overlap took 8-10, and two calls per
-        # step, integrals at the overlap ends and a final call at the roots 22-26
+        # the split table and one per pass make 3-4 here (5-6 with the last Newton
+        # step evaluated instead of certified); starts at the false-position point
+        # of the whole overlap took 8-10, and two calls per step, integrals at the
+        # overlap ends and a final call at the roots 22-26
         rate_region(load_config(None).encounter_scenario(eta=eta), 201)
-        assert len(between_calls) <= 6
+        assert len(between_calls) <= 4
 
     def test_default_grid_takes_few_steps_per_point(self, hook_search):
-        # roots started from the split table take about 2.6 evaluations each
-        # here; from the false-position point of the whole overlap about 5.5
+        # roots started from the split table take about 1.26 evaluations each here,
+        # with the last Newton step certified from the curvature instead of evaluated;
+        # 2.56 when each is evaluated, and about 5.5 from the false-position point of
+        # the whole overlap. The bound leaves 0.24 of margin
         counts = []
 
         def counted(f, n):
@@ -850,7 +930,24 @@ class TestRateRegion:
         for eta in (0.0, 0.4, 0.8, 1.2, 1.6):
             rate_region(load_config(None).encounter_scenario(eta=eta), 201)
         assert len(counts) == 5
-        assert sum(c.sum() for c in counts) / sum(c.size for c in counts) <= 3.0
+        assert sum(c.sum() for c in counts) / sum(c.size for c in counts) <= 1.5
+
+    @pytest.mark.parametrize("eta", [0.0, 0.4, 0.8, 1.2, 1.6])
+    def test_default_grid_takes_at_most_two_passes(self, hook_search, eta):
+        # each pass is one batched evaluation of every unfinished point: 3-4 when the
+        # last Newton step of each root is evaluated, 1-2 when it is certified
+        passes = []
+
+        def counted(f, n):
+            def g(x, i):
+                passes.append(i.size)
+                return f(x, i)
+
+            return g
+
+        hook_search(counted)
+        rate_region(load_config(None).encounter_scenario(eta=eta), 201)
+        assert 1 <= len(passes) <= 2
 
     def test_corner_is_the_priority_rate(self):
         # a root within tolerance at the overlap end stays there: walking

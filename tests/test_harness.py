@@ -213,6 +213,7 @@ class TestCli:
         [
             ("tradeoff_theta_h_min = 0", ["tradeoff"]),
             ("theta_b_rad = 0.1", ["search-n", "--sweep", "sigma"]),
+            ("carrier_frequency_hz = 0", ["export-codebook"]),
         ],
     )
     def test_config_rejected_before_any_file_is_written(self, tmp_path, capsys, line, command):
