@@ -159,28 +159,24 @@ def _trains(sc: EncounterScenario) -> _Trains:
     return _Trains(cum, weight, whole, solo, shared, snr, tuple(math.log1p(c) / LN2 for c in snr))
 
 
-def _shares(sc: EncounterScenario, trains: _Trains) -> Callable[..., tuple]:
-    """``shares(lam, curved=False) -> (x1, g2, dx1, dg2)``: the solves' only reading of the decode-first split.
+def _shares(sc: EncounterScenario, trains: _Trains) -> Callable[[np.ndarray], tuple]:
+    """``shares(lam) -> (x1, g2, dx1, dg2)``: the solves' only reading of the decode-first split.
 
     ``x1`` is train 1's share of its window integral before the split ``t = lam*L/v``, ``g2``
     train 2's share between it and the overlap end, ``dx1`` and ``dg2`` their slopes in ``lam``.
     Each call takes one stacked integral and one stacked path gain for both trains; at the
-    overlap ends ``_Trains.end_shares`` gives ``x1`` and ``g2`` with none. With ``curved`` it
-    also returns their curvatures ``ddx1, ddg2``: each slope times ``d log gain/dlam`` there.
+    overlap ends ``_Trains.end_shares`` gives ``x1`` and ``g2`` with none.
     """
     dt, t_ov = sc.half_coverage / sc.speed, sc.overlap_end  # dt/dlam
     whole = np.array(trains.whole)[:, None]
     # train 1 over [0, t], train 2 over [t, overlap_end]
     from_t, to_t = np.array([[0.0], [1.0]]), np.array([[True], [False]])
 
-    def shares(lam, curved=False):
+    def shares(lam):
         t = lam * sc.half_coverage / sc.speed  # overlap_end's order: lam = 2 - eta lands on it
         lo, hi = t * from_t, np.where(to_t, t, t_ov)
         (x1, g2), (dx1, dg2) = trains.cum.between(lo, hi) / whole, trains.cum.gain(t) * dt / whole
-        if not curved:
-            return x1, g2, dx1, -dg2
-        log_1, log_2 = trains.cum.log_gain_slope(t) * dt
-        return x1, g2, dx1, -dg2, dx1 * log_1, -dg2 * log_2
+        return x1, g2, dx1, -dg2
 
     return shares
 
@@ -448,30 +444,32 @@ def _allocate(sc: EncounterScenario, rate_2: np.ndarray, trains: _Trains) -> tup
     bound = np.flatnonzero(~slack)
     if not bound.size:  # every point slack: no split to solve for
         return rate_1, rate_2, split, slack
-    z, shares, tol = z[bound], _shares(sc, trains), 1e-14
+    z, shares, tol, dt = z[bound], _shares(sc, trains), 1e-14, sc.half_coverage / sc.speed
     table = _split_table(sc, trains, shares)
 
-    def usage(z2, x1, g2, dx1, dg2, *curvatures):
+    def usage(z2, x1, g2, dx1, dg2):  # log usage, its slope, and z1 and 1 + z1*g2 on the way
         z1 = c1 / (1.0 + z2 * x1)
         a = 1.0 + z1 * g2
         # dz1 = -z1**2 * z2 * dx1 / c1; no integral is taken
-        value, slope = np.log(z2 * a / c2), z1 * (dg2 - z1 * z2 * dx1 * g2 / c1) / a
-        if not curvatures:
-            return value, slope
+        return np.log(z2 * a / c2), z1 * (dg2 - z1 * z2 * dx1 * g2 / c1) / a, z1, a
+
+    def log_usage(lam, i):  # usage's value and slope, and the curvature that certifies a root
+        x1, g2, dx1, dg2 = shares(lam)
+        z2 = z[i]
+        value, slope, z1, a = usage(z2, x1, g2, dx1, dg2)
+        # the shares' curvatures are their slopes times d log gain/dlam
+        log_1, log_2 = trains.cum.log_gain_slope(lam * sc.half_coverage / sc.speed) * dt
+        ddx1, ddg2 = dx1 * log_1, dg2 * log_2
+        seen[:, i] = lam, x1, dx1, ddx1  # each root is this point or one certified step past it
         # with k = z1*z2/c1: d2z1 = z1*(2*k**2*dx1**2 - k*ddx1), and the curvature of
         # log usage is d2(1 + z1*g2)/(1 + z1*g2) - slope**2
-        (ddx1, ddg2), k = curvatures, z1 * z2 / c1
+        k = z1 * z2 / c1
         curve = z1 * (ddg2 - k * (2.0 * dx1 * dg2 + (ddx1 - 2.0 * k * dx1 * dx1) * g2)) / a
         return value, slope, curve - slope * slope
 
-    def log_usage(lam, i):
-        x1, g2, dx1, dg2, ddx1, ddg2 = shares(lam, curved=True)
-        seen[:, i] = lam, x1, dx1, ddx1  # each root is this point or one certified step past it
-        return usage(z[i], x1, g2, dx1, dg2, ddx1, ddg2)
-
     def cell(hi):  # the cell that ends at table point hi: both ends, their log usage and slopes
         cells = np.array((np.maximum(hi - 1, 0), hi))
-        return cells, *usage(z, *table[1:, cells])
+        return cells, *usage(z, *table[1:, cells])[:2]
 
     # Each root lies in the cell that ends at the first table point not above tol.
     # At the overlap end train 2 is never decoded first (g2 = 0), so its usage

@@ -188,8 +188,9 @@ def region_roots(monkeypatch, sc, grid):
     z, root = 2.0 ** rate_2[bound] - 1.0, split[bound]
     x1, g2 = encounter._shares(sc, trains)(root)[:2]
     z1 = c1 / (1.0 + z * x1)
-    last = found.get("last", root)
-    return np.log(z * (1.0 + z1 * g2) / c2), np.log1p(z1) / math.log(2.0), rate_1[bound], last != root
+    last = found.get("last", root)  # NaN where the search never evaluated: a table point
+    sure = np.isfinite(last) & (last != root)
+    return np.log(z * (1.0 + z1 * g2) / c2), np.log1p(z1) / math.log(2.0), rate_1[bound], sure
 
 
 def readme_scenario(index):
@@ -718,15 +719,16 @@ class TestNewtonSearch:
     @pytest.mark.parametrize("bad", [lambda s: 0.0 * s, lambda s: -s, lambda s: s * np.nan])
     def test_useless_slope_falls_back_to_bisection(self, hook_search, bad):
         # zero, wrong-signed or nan slopes: the search bisects and finds the
-        # same split, with no numpy warning (the suite makes those errors)
+        # same split, with no numpy warning (the suite makes those errors). The
+        # curvature still reaches the search, whose certificate must refuse each
         sc = steepest_scenario()
         r2 = 0.999 * single_train_rmax(sc, 2)
         _, good, _ = no_priority_allocation(sc, r2)
 
         def spoiled(f, n):
-            def g(x, i):  # a spoiled slope certifies nothing, so the curvature is dropped
-                value, slope = f(x, i)[:2]
-                return value, bad(slope)
+            def g(x, i):
+                value, slope, *rest = f(x, i)
+                return value, bad(slope), *rest
 
             return g
 
