@@ -77,7 +77,6 @@ class ExperimentConfig:
     theta_b_rad: float = math.pi / 4
     # positioning
     sigma_m: float = 1.0
-    p_th: float = 0.9
     n_max: int = 0  # defaults to element_count
     # encounter
     L_m: float = 800.0
@@ -85,7 +84,6 @@ class ExperimentConfig:
     path_loss_exp: float = 3.0
     p0_w: float = dbm_to_watts(43.0)
     noise_power_w: float = DEFAULT_NOISE_POWER_W
-    eta: float = 0.0
     beam_weight_1: float = 0.0  # defaults to directivity at beam_count
     beam_weight_2: float = 0.0
     # harness
@@ -102,7 +100,6 @@ class ExperimentConfig:
     tradeoff_theta_h_min: float = 0.01
     tradeoff_theta_h_max: float = math.pi
     tradeoff_grid_size: int = 200
-    out_dir: str = "out"
 
     def array_config(self) -> ArrayConfig:
         return ArrayConfig(
@@ -121,16 +118,10 @@ class ExperimentConfig:
             train_angle=self.theta_b_rad if theta_b is None else theta_b,
         )
 
-    def positioning_model(self, sigma: float | None = None, p_th: float | None = None) -> PositioningModel:
-        return PositioningModel(
-            error_stddev=self.sigma_m if sigma is None else sigma,
-            threshold=self.p_th if p_th is None else p_th,
-            max_beam_count=self.n_max,
-        )
+    def positioning_model(self, sigma: float, p_th: float) -> PositioningModel:
+        return PositioningModel(error_stddev=sigma, threshold=p_th, max_beam_count=self.n_max)
 
-    def encounter_scenario(
-        self, eta: float | None = None, p0_w: float | None = None
-    ) -> EncounterScenario:
+    def encounter_scenario(self, eta: float, p0_w: float | None = None) -> EncounterScenario:
         from .encounter import EncounterScenario  # numpy loads only for encounter runs
 
         return EncounterScenario(
@@ -141,7 +132,7 @@ class ExperimentConfig:
             path_loss_exponent=self.path_loss_exp,
             avg_power=self.p0_w if p0_w is None else p0_w,
             noise_power=self.noise_power_w,
-            entry_offset=self.eta if eta is None else eta,
+            entry_offset=eta,
             beam_weight_1=self.beam_weight_1,
             beam_weight_2=self.beam_weight_2,
         )
@@ -156,7 +147,7 @@ _ALIASES = {
     "noise_power_dbm": ("noise_power_w", dbm_to_watts),
 }
 # field annotations are strings under ``from __future__ import annotations``
-_TYPE_PARSERS = {"float": _finite_float, "int": int, "tuple[float, ...]": _float_list, "str": str}
+_TYPE_PARSERS = {"float": _finite_float, "int": int, "tuple[float, ...]": _float_list}
 _KEY_PARSER = {f.name: _TYPE_PARSERS[f.type] for f in fields(ExperimentConfig)}
 _KEY_PARSER.update(dict.fromkeys(_ALIASES, _finite_float))
 
@@ -181,18 +172,12 @@ def _parse_lines(path: str | Path) -> dict[str, tuple[object, int]]:
                 values[key] = (_KEY_PARSER[key](text), lineno)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-            if not text:  # only ``str`` parses an empty value; every other parser raised above
-                raise ConfigError(f"line {lineno}: empty value for {key!r}")
     return values
 
 
 def _check_ranges(cfg: ExperimentConfig) -> None:
-    if not 0.0 <= cfg.eta <= 2.0:
-        raise ConfigError(f"eta={cfg.eta:g} outside [0, 2]")
     if not 2.0 <= cfg.path_loss_exp <= 5.0:
         raise ConfigError(f"path_loss_exp={cfg.path_loss_exp:g} outside [2, 5]")
-    if not 0.0 < cfg.p_th < 1.0:
-        raise ConfigError(f"p_th={cfg.p_th:g} outside (0, 1)")
     for name in ("d0_m", "L_m", "v0_mps", "p0_w", "noise_power_w", "traverse_dt_s"):
         if getattr(cfg, name) <= 0:
             raise ConfigError(f"{name} must be positive")
@@ -205,6 +190,13 @@ def _check_ranges(cfg: ExperimentConfig) -> None:
     for p in cfg.p_th_list:
         if not 0.0 < p < 1.0:
             raise ConfigError(f"p_th_list entry {p:g} outside (0, 1)")
+    for dbm in cfg.p0_dbm_list:
+        try:
+            watts = dbm_to_watts(dbm)
+        except OverflowError:
+            watts = math.inf
+        if not 0.0 < watts < math.inf:
+            raise ConfigError(f"p0_dbm_list entry {dbm:g} gives p0_w={watts:g}, outside (0, inf)")
     printed: dict[str, float] = {}
     for e in cfg.eta_list:
         if not 0.0 <= e <= 2.0:
@@ -222,6 +214,9 @@ def _check_ranges(cfg: ExperimentConfig) -> None:
             f"tradeoff_theta_h_min={cfg.tradeoff_theta_h_min:g} must lie in "
             f"(0, tradeoff_theta_h_max={cfg.tradeoff_theta_h_max:g})"
         )
+    # the tradeoff's first row, in its runner's arithmetic, has the largest directivity
+    if not math.isfinite(cfg.array_type_factor * cfg.design_constant / math.pi / cfg.tradeoff_theta_h_min):
+        raise ConfigError(f"tradeoff_theta_h_min={cfg.tradeoff_theta_h_min:g} gives an infinite directivity")
     for size_name in ("theta_grid_size", "r2_grid_size", "eta_grid_size", "tradeoff_grid_size"):
         if getattr(cfg, size_name) < 2:
             raise ConfigError(f"{size_name} must be >= 2")
@@ -237,7 +232,11 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
             target, convert = _ALIASES[key]
             if target in values:
                 raise ConfigError(f"line {line}: {target!r} and {key!r} both set, pick one unit")
-            key, value = target, convert(value)
+            try:
+                value = convert(value)
+            except OverflowError as exc:
+                raise ConfigError(f"line {line}: {key}={value:g} overflows {target}") from exc
+            key = target
         converted[key] = value
     cfg = ExperimentConfig(**converted)
 

@@ -64,37 +64,26 @@ def _search_lines(cfg: ExperimentConfig, jobs, header: Sequence[str]) -> Iterato
         )
 
 
-def _run_d_vs_theta(cfg: ExperimentConfig):
+def _run_search_n(cfg: ExperimentConfig):
     array_cfg = cfg.array_config()
     lo, hi = coverage_interval(array_cfg)
     margin = (hi - lo) * 1e-3
     n = cfg.theta_grid_size
     thetas = [lo + margin + (hi - lo - 2 * margin) * i / (n - 1) for i in range(n)]
-    jobs = [
-        (theta, theta, p_th, cfg.sigma_m)
-        for p_th in cfg.p_th_list
-        for theta in thetas
-    ]
-    header = (
+    theta_jobs = [(theta, theta, p_th, cfg.sigma_m) for p_th in cfg.p_th_list for theta in thetas]
+    sigma_jobs = [(sigma, cfg.theta_b_rad, p_th, sigma) for p_th in cfg.p_th_list for sigma in cfg.sigma_grid_m]
+    theta_header = (
         "theta_b_rad", "p_th", "n_star", "d_ratio", "n_ratio",
         "directivity", "achieved_probability", "infeasible",
     )
-    notes = [
-        f"theta_b swept across the computed coverage interval ({lo:.6g}, {hi:.6g}) rad"
-    ]
-    return {"d_vs_theta.csv": (header, _search_lines(cfg, jobs, header))}, notes
-
-
-def _run_directivity_vs_sigma(cfg: ExperimentConfig):
-    jobs = [
-        (sigma, cfg.theta_b_rad, p_th, sigma)
-        for p_th in cfg.p_th_list
-        for sigma in cfg.sigma_grid_m
-    ]
-    header = (
+    sigma_header = (
         "sigma_m", "p_th", "n_star", "directivity", "achieved_probability", "infeasible",
     )
-    return {"directivity_vs_sigma.csv": (header, _search_lines(cfg, jobs, header))}, []
+    files = {
+        "d_vs_theta.csv": (theta_header, _search_lines(cfg, theta_jobs, theta_header)),
+        "directivity_vs_sigma.csv": (sigma_header, _search_lines(cfg, sigma_jobs, sigma_header)),
+    }
+    return files, [f"theta_b swept across the computed coverage interval ({lo:.6g}, {hi:.6g}) rad"]
 
 
 _REGION_HEADER = ("R2_bps_hz", "R1_bps_hz")
@@ -112,7 +101,8 @@ def _run_rate_region(cfg: ExperimentConfig):
     for eta in cfg.eta_list:
         region = rate_region(cfg.encounter_scenario(eta=eta), cfg.r2_grid_size)
         files[f"rate_region_eta{eta:g}.csv"] = (_REGION_HEADER, _region_lines(region))
-    baseline = tfds_baseline(cfg.encounter_scenario(), cfg.r2_grid_size)
+    # the solo maxima are each train's whole pass, which the entry offset only shifts in time
+    baseline = tfds_baseline(cfg.encounter_scenario(eta=0.0), cfg.r2_grid_size)
     files["tfds.csv"] = (_REGION_HEADER, _region_lines(baseline))
     return files, []
 
@@ -171,8 +161,7 @@ def _run_export_codebook(cfg: ExperimentConfig):
 
 EXPERIMENTS: dict[str, Callable] = {
     "tradeoff": _run_tradeoff,
-    "d-vs-theta": _run_d_vs_theta,
-    "directivity-vs-sigma": _run_directivity_vs_sigma,
+    "search-n": _run_search_n,
     "rate-region": _run_rate_region,
     "symmetric": _run_symmetric,
     "traverse": _run_traverse,
@@ -180,17 +169,13 @@ EXPERIMENTS: dict[str, Callable] = {
 }
 
 
-def run_experiment(
-    cfg: ExperimentConfig,
-    experiment: str,
-    out_dir: str | Path,
-) -> RunManifest:
-    """Run one named experiment, returning the manifest written next to it."""
+def run_experiment(cfg: ExperimentConfig, experiment: str, out: str | Path) -> RunManifest:
+    """Run one named experiment into the directory ``out``, returning the manifest written there."""
     if experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r}")
-    if not str(out_dir):
-        raise ValueError("out_dir must name a directory")
-    out = Path(out_dir)
+    if not str(out):
+        raise ValueError("out must name a directory")
+    out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     files, notes = EXPERIMENTS[experiment](cfg)
     counts = {name: write_csv(out / name, header, text) for name, (header, text) in files.items()}

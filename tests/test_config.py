@@ -77,7 +77,7 @@ class TestUnits:
         ],
     )
     def test_unit_pair_conflict_cites_alternate_line(self, tmp_path, field_key, alternate):
-        text = f"{field_key} = 1\n{alternate} = 1\neta = 1\n"
+        text = f"{field_key} = 1\n{alternate} = 1\nL_m = 600\n"
         with pytest.raises(ConfigError, match=f"^line 2: '{field_key}' and '{alternate}' both set"):
             load_config(write(tmp_path, text))
 
@@ -88,16 +88,16 @@ class TestUnits:
 
 class TestRejections:
     def test_eta_range(self, tmp_path):
-        with pytest.raises(ConfigError, match="eta"):
-            load_config(write(tmp_path, "eta = 3\n"))
+        with pytest.raises(ConfigError, match="eta_list entry 3 outside"):
+            load_config(write(tmp_path, "eta_list = 0, 3\n"))
 
     def test_unknown_key_reports_line(self, tmp_path):
         with pytest.raises(ConfigError, match="line 2.*unknown key"):
-            load_config(write(tmp_path, "eta = 1\nbogus = 4\n"))
+            load_config(write(tmp_path, "L_m = 600\nbogus = 4\n"))
 
     def test_bad_value_reports_line(self, tmp_path):
         with pytest.raises(ConfigError, match="line 1.*bad value"):
-            load_config(write(tmp_path, "eta = fast\n"))
+            load_config(write(tmp_path, "L_m = fast\n"))
 
     @pytest.mark.parametrize(
         "line",
@@ -105,7 +105,7 @@ class TestRejections:
     )
     def test_non_finite_value_reports_line(self, tmp_path, line):
         with pytest.raises(ConfigError, match="line 2.*not finite"):
-            load_config(write(tmp_path, f"eta = 1\n{line}\n"))
+            load_config(write(tmp_path, f"h0_m = 15\n{line}\n"))
 
     def test_non_finite_list_entry_reports_line(self, tmp_path):
         with pytest.raises(ConfigError, match="line 1.*not finite"):
@@ -115,13 +115,7 @@ class TestRejections:
     def test_empty_list_reports_line(self, tmp_path, value):
         # an empty eta_list used to write only tfds.csv
         with pytest.raises(ConfigError, match="line 2.*'eta_list'.*empty list"):
-            load_config(write(tmp_path, f"eta = 1\neta_list = {value}\n"))
-
-    @pytest.mark.parametrize("value", ["", "  ", "# nothing"])
-    def test_empty_text_value_reports_line(self, tmp_path, value):
-        # an empty out_dir used to send every file into the working directory
-        with pytest.raises(ConfigError, match="line 2: empty value for 'out_dir'"):
-            load_config(write(tmp_path, f"eta = 1\nout_dir = {value}\n"))
+            load_config(write(tmp_path, f"L_m = 600\neta_list = {value}\n"))
 
     @pytest.mark.parametrize("value", ["0.7,,0.9", "0.7, ,0.9", "0.7,0.9,", ",0.7"])
     def test_empty_list_entry_reports_line(self, tmp_path, value):
@@ -143,11 +137,11 @@ class TestRejections:
 
     def test_duplicate_key(self, tmp_path):
         with pytest.raises(ConfigError, match="duplicate"):
-            load_config(write(tmp_path, "eta = 1\neta = 2\n"))
+            load_config(write(tmp_path, "L_m = 600\nL_m = 700\n"))
 
     def test_missing_equals(self, tmp_path):
         with pytest.raises(ConfigError, match="key = value"):
-            load_config(write(tmp_path, "eta 1\n"))
+            load_config(write(tmp_path, "L_m 600\n"))
 
     def test_path_loss_range(self, tmp_path):
         with pytest.raises(ConfigError, match="path_loss_exp"):
@@ -203,18 +197,19 @@ class TestGridsAndComments:
         assert cfg.sigma_grid_m == (1.0, 2.0, 3.0, 4.0, 5.0)
 
     def test_inline_comments(self, tmp_path):
-        cfg = load_config(write(tmp_path, "eta = 1.5  # late entry\n"))
-        assert cfg.eta == 1.5
+        cfg = load_config(write(tmp_path, "L_m = 600  # a longer stretch\n"))
+        assert cfg.L_m == 600.0
 
     def test_builders_round_trip(self, tmp_path):
-        cfg = load_config(write(tmp_path, "eta = 0.8\ntheta_b_deg = 80\n"))
-        sc = cfg.encounter_scenario()
+        cfg = load_config(write(tmp_path, "L_m = 600\ntheta_b_deg = 80\n"))
+        sc = cfg.encounter_scenario(eta=0.8)
         assert sc.entry_offset == 0.8
+        assert sc.half_coverage == 600.0
         assert sc.avg_power == pytest.approx(dbm_to_watts(43.0), rel=1e-12)
         geo = cfg.rail_geometry()
         assert geo.train_angle == pytest.approx(math.radians(80.0), rel=1e-15)
-        model = cfg.positioning_model()
-        assert model.max_beam_count == 128
+        model = cfg.positioning_model(sigma=2.5, p_th=0.85)
+        assert (model.error_stddev, model.threshold, model.max_beam_count) == (2.5, 0.85, 128)
         array_cfg = cfg.array_config()
         assert array_cfg.element_count == 128
 
@@ -233,14 +228,12 @@ EVERY_FIELD = {
     "h0_m": ("15", 15.0),
     "theta_b_rad": ("1.1", 1.1),
     "sigma_m": ("2.5", 2.5),
-    "p_th": ("0.85", 0.85),
     "n_max": ("32", 32),
     "L_m": ("600", 600.0),
     "v0_mps": ("80", 80.0),
     "path_loss_exp": ("3.5", 3.5),
     "p0_w": ("10", 10.0),
     "noise_power_w": ("1e-13", 1e-13),
-    "eta": ("0.5", 0.5),
     "beam_weight_1": ("50", 50.0),
     "beam_weight_2": ("60", 60.0),
     "theta_grid_size": ("11", 11),
@@ -254,7 +247,6 @@ EVERY_FIELD = {
     "tradeoff_theta_h_min": ("0.02", 0.02),
     "tradeoff_theta_h_max": ("3", 3.0),
     "tradeoff_grid_size": ("50", 50),
-    "out_dir": ("results", "results"),
 }
 # alternate key -> (its text, the field it sets, the value it must set)
 ALTERNATES = {

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from decimal import Decimal, localcontext
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,7 @@ from railbeam.encounter import (
     tfds_baseline,
 )
 from railbeam.numerics import CumulativeIntegral, adaptive_simpson
-from test_numerics import exact_between
+from test_numerics import exact_antiderivative, exact_between
 
 NOISE = 10.0 ** (-13.4)
 P0 = 10.0 ** 1.3  # 43 dBm
@@ -128,6 +129,65 @@ def exact_usage(sc, rate_1, rate_2, split):
         coeff * (2.0**rate_1 - 1.0) * energy_1 / sc.beam_weight_1,
         coeff * (2.0**rate_2 - 1.0) * energy_2 / sc.beam_weight_2,
     )
+
+
+def exact_region(sc, grid):
+    """Train 1's best rate at each R2 of ``grid``, from exact integrals and a search of its own.
+
+    The one-split model of ``no_priority_allocation``, in 60-digit ``decimal`` from the
+    scenario's float fields: every integral is ``exact_antiderivative`` (an integer exponent),
+    and the windows, shifts and split times are exact. Below train 2's decoded-first threshold
+    R1 is the solo rate. Otherwise the split ``lam`` is bisected in floats on the sign of train
+    2's usage minus 1 until no float lies inside its bracket, and R1 is read at the root
+    interpolated linearly across that last bracket; a usage still above 1 at the overlap end
+    puts the split there.
+    """
+    exponent = int(sc.path_loss_exponent)
+    assert exponent == sc.path_loss_exponent
+    with localcontext() as ctx:
+        ctx.prec = 60
+        big_b = Decimal(sc.perpendicular_distance) ** 2 + Decimal(sc.antenna_height) ** 2
+        v, half, eta = Decimal(sc.speed), Decimal(sc.half_coverage), Decimal(sc.entry_offset)
+        shifts, to_time = (half - eta * half, half), half / v
+
+        def integral(row, t):  # an antiderivative in t of the train's path gain
+            return exact_antiderivative(big_b, v * t - shifts[row], exponent) / v
+
+        t_ov = (2 - eta) * to_time
+        ends = [(integral(row, a), integral(row, 0), integral(row, t_ov), integral(row, b))
+                for row, (a, b) in enumerate(((-eta * to_time, t_ov), (0, 2 * to_time)))]
+        whole = [end - start for start, _, _, end in ends]
+        budget = Decimal(sc.avg_power) * 2 * to_time / Decimal(sc.noise_power)
+        c1, c2 = (budget * Decimal(w) / i for w, i in zip((sc.beam_weight_1, sc.beam_weight_2), whole))
+        ln2 = Decimal(2).ln()
+
+        def state(lam, z2):  # train 2's usage minus 1, and train 1's z1, at the split lam
+            t = Decimal(lam) * to_time
+            x1 = (integral(0, t) - ends[0][1]) / whole[0]
+            g2 = (ends[1][2] - integral(1, t)) / whole[1]
+            z1 = c1 / (1 + z2 * x1)
+            return z2 * (1 + z1 * g2) / c2 - 1, z1
+
+        rates = []
+        for r2 in grid:
+            z2 = (Decimal(r2) * ln2).exp() - 1
+            lo, hi = 0.0, 2.0 - sc.entry_offset
+            (f_lo, z_lo), (f_hi, z_hi) = state(lo, z2), state(hi, z2)
+            if r2 == 0.0 or f_lo <= 0:  # slack: train 2 holds its rate decoded first throughout
+                z1 = c1
+            elif f_hi >= 0:
+                z1 = z_hi
+            else:
+                while lo < 0.5 * (lo + hi) < hi:
+                    mid = 0.5 * (lo + hi)
+                    f, z = state(mid, z2)
+                    if f > 0:
+                        lo, f_lo, z_lo = mid, f, z
+                    else:
+                        hi, f_hi, z_hi = mid, f, z
+                z1 = z_lo + (z_hi - z_lo) * f_lo / (f_lo - f_hi)
+            rates.append(float((1 + z1).ln() / ln2))
+        return rates
 
 
 def rate_2_at_split(sc, split):
@@ -1125,6 +1185,32 @@ class TestRateRegion:
         r1s = {p[0] for p in region.pairs}
         assert max(r1s) - min(r1s) < 1e-9
 
+    def test_r1_matches_exact_integrals(self):
+        # judged against exact_region, which shares no integral and no search with the
+        # library: README's steep scenarios with the exponent rounded, and seeded ones with
+        # the entry offset within 1e-9 of 0 and of 2. At R2 = train 2's solo maximum the
+        # boundary is vertical, so there R1 must be exact at an R2 within 4e-15 relative
+        rng = random.Random(1802)
+        scenarios = [
+            dataclasses.replace(sc, path_loss_exponent=float(round(sc.path_loss_exponent)))
+            for sc in map(readme_scenario, (3823, 4158, 5521, 6553))
+        ]
+        for j in range(12):
+            eta = (rng.uniform(0.0, 1e-9), 2.0 - rng.uniform(0.0, 1e-9), rng.uniform(0.0, 2.0))[j % 3]
+            p0 = 10.0 ** ((rng.uniform(37.0, 47.0) - 30.0) / 10.0)
+            scenarios.append(scenario(eta=eta, p0=p0, alpha0=(2.0, 3.0, 4.0)[j // 4]))
+        worst, bound = 0.0, 0
+        for sc in scenarios:
+            rate_1, rate_2 = np.array(rate_region(sc, 11).pairs).T
+            exact = np.array(exact_region(sc, rate_2[:-1]))
+            solved = rate_1[:-1] < rate_1[0]  # below the flat part, where the budgets bind
+            bound += np.count_nonzero(solved)
+            worst = max(worst, np.max(np.abs(rate_1[:-1] - exact) / exact))
+            late, early = exact_region(sc, [rate_2[-1] * (1.0 + 4e-15), rate_2[-1] * (1.0 - 4e-15)])
+            assert late * (1.0 - 3e-14) <= rate_1[-1] <= early * (1.0 + 3e-14), sc
+        assert bound >= 100
+        assert worst <= 3e-14
+
     def test_worst_case_nested_in_late_entry(self):
         # full-overlap boundary sits inside the eta=1.6 boundary pointwise
         r0 = rate_region(scenario(eta=0.0), 9)
@@ -1212,6 +1298,17 @@ class TestTfdsBaseline:
         assert base.pairs[0] == (pytest.approx(0.0), pytest.approx(r2max))
         assert base.pairs[2][0] == pytest.approx(r1max / 2, rel=1e-12)
         assert base.pairs[2][1] == pytest.approx(r2max / 2, rel=1e-12)
+
+    def test_entry_offset_changes_no_pair(self):
+        # each solo maximum integrates one train's whole pass, which the offset only shifts
+        # in time, so the rate-region runner takes its baseline at offset 0
+        scenarios = [sc for sc, _ in seeded_scenarios(1601, 12)] + [readme_scenario(j) for j in (5, 17, 3823)]
+        for sc in scenarios:
+            at_zero, *shifted = (
+                tfds_baseline(dataclasses.replace(sc, entry_offset=eta), 21).pairs
+                for eta in (0.0, 0.37, 0.8, 1.6, 2.0)
+            )
+            np.testing.assert_allclose(shifted, [at_zero] * 4, rtol=2e-15, atol=0.0)
 
     def test_dominated_by_full_overlap_region(self):
         sc = scenario(eta=0.0)

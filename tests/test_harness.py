@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import railbeam
-from railbeam.cli import main
+from railbeam.cli import _COMMANDS, main
 from railbeam.codebook import build_phase_mapper, export_phase_mapper
 from railbeam.config import load_config
 from railbeam.encounter import no_priority_allocation, symmetric_rate
@@ -69,13 +69,13 @@ class TestRunExperiment:
     def test_empty_out_dir_rejected_before_any_file_is_written(self, small_cfg, tmp_path, monkeypatch):
         # Path("") is ".": it used to write tradeoff.csv and its manifest into the working directory
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(ValueError, match="out_dir must name a directory"):
+        with pytest.raises(ValueError, match="out must name a directory"):
             run_experiment(small_cfg, "tradeoff", "")
         assert list(tmp_path.iterdir()) == [tmp_path / "small.cfg"]
 
     def test_byte_determinism(self, small_cfg, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        for name in ("tradeoff", "d-vs-theta", "rate-region", "symmetric"):
+        for name in ("tradeoff", "search-n", "rate-region", "symmetric"):
             run_experiment(small_cfg, name, a)
             run_experiment(small_cfg, name, b)
         for csv_a in a.glob("*.csv"):
@@ -91,7 +91,7 @@ class TestRowRederivability:
             assert float(width_s) * float(gain_s) == pytest.approx(target, rel=1e-10)
 
     def test_search_rows_reproduce_module_output(self, small_cfg, tmp_path):
-        run_experiment(small_cfg, "d-vs-theta", tmp_path)
+        run_experiment(small_cfg, "search-n", tmp_path)
         header, rows = read_rows(tmp_path / "d_vs_theta.csv")
         array_cfg = small_cfg.array_config()
         for row in rows[:: max(1, len(rows) // 7)]:
@@ -99,7 +99,7 @@ class TestRowRederivability:
             result = search_beam_count(
                 array_cfg,
                 small_cfg.rail_geometry(float(values["theta_b_rad"])),
-                small_cfg.positioning_model(p_th=float(values["p_th"])),
+                small_cfg.positioning_model(sigma=small_cfg.sigma_m, p_th=float(values["p_th"])),
             )
             assert result.optimal_beam_count == int(values["n_star"])
             assert result.achieved_probability == pytest.approx(
@@ -108,7 +108,7 @@ class TestRowRederivability:
             assert int(values["infeasible"]) == int(not result.feasible)
 
     def test_duality_columns_are_reciprocal(self, small_cfg, tmp_path):
-        run_experiment(small_cfg, "d-vs-theta", tmp_path)
+        run_experiment(small_cfg, "search-n", tmp_path)
         header, rows = read_rows(tmp_path / "d_vs_theta.csv")
         for row in rows:
             values = dict(zip(header, row))
@@ -141,7 +141,7 @@ class TestSigmaSweepOrdering:
             "sigma_grid_m = 0.5:8:16\np_th_list = 0.7,0.8,0.9\ntheta_b_rad = 1.25\n"
         )
         cfg = load_config(cfg_path)
-        run_experiment(cfg, "directivity-vs-sigma", tmp_path)
+        run_experiment(cfg, "search-n", tmp_path)
         header, rows = read_rows(tmp_path / "directivity_vs_sigma.csv")
         for p_th in ("0.7", "0.8", "0.9"):
             gains = [
@@ -160,7 +160,7 @@ class TestInfeasibleRows:
             "p_th_list = 0.95\ntheta_b_rad = 1.4\n"
         )
         cfg = load_config(cfg_path)
-        run_experiment(cfg, "directivity-vs-sigma", tmp_path)
+        run_experiment(cfg, "search-n", tmp_path)
         header, rows = read_rows(tmp_path / "directivity_vs_sigma.csv")
         assert len(rows) == 2
         flags = [row[header.index("infeasible")] for row in rows]
@@ -180,7 +180,7 @@ class TestTraverseExperiment:
         assert switches == small_cfg.beam_count - 1
 
     def test_note_records_coverage_interval(self, small_cfg, tmp_path):
-        manifest = run_experiment(small_cfg, "d-vs-theta", tmp_path)
+        manifest = run_experiment(small_cfg, "search-n", tmp_path)
         lo, hi = coverage_interval(small_cfg.array_config())
         assert any(f"{lo:.6g}" in note for note in manifest.notes)
 
@@ -195,16 +195,52 @@ class TestCli:
         assert "tradeoff.csv" in out
         assert (tmp_path / "o" / "tradeoff.csv").exists()
 
-    def test_search_n_sweep_selection(self, tmp_path):
+    def test_every_subcommand_runs_the_experiment_of_its_name(self):
+        assert sorted(_COMMANDS) == sorted(EXPERIMENTS)
+
+    def test_search_n_writes_both_sweeps_and_one_manifest(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(SMALL)
-        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "search-n", "--sweep", "sigma"]) == 0
-        assert (tmp_path / "o" / "directivity_vs_sigma.csv").exists()
-        assert not (tmp_path / "o" / "d_vs_theta.csv").exists()
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), "search-n"]) == 0
+        files = {"d_vs_theta.csv": 2 * 7, "directivity_vs_sigma.csv": 2 * 3}
+        assert sorted(p.name for p in out.iterdir()) == [*files, "search_n_manifest.json"]
+        meta = json.loads((out / "search_n_manifest.json").read_text())
+        assert (meta["experiment"], meta["files"]) == ("search-n", files)
+        assert capsys.readouterr().out == "".join(f"wrote {out / name} ({rows} rows)\n" for name, rows in files.items())
+
+    @pytest.mark.parametrize("line", ["eta = 0.8", "p_th = 0.9", "out_dir = results"])
+    def test_keys_no_subcommand_reads_are_unknown(self, tmp_path, monkeypatch, capsys, line):
+        # each used to load and change no output
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"tradeoff_grid_size = 5\n{line}\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["--config", str(cfg), "tradeoff"]) == 2
+        key = line.split(" = ")[0]
+        assert capsys.readouterr().err == f"config error: line 2: unknown key {key!r}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+
+    @pytest.mark.parametrize(
+        "line, command, message",
+        [
+            ("p0_dbm = 1e300", "rate-region", "line 1: p0_dbm=1e+300 overflows p0_w"),
+            ("noise_power_dbm = 1e300", "rate-region", "line 1: noise_power_dbm=1e+300 overflows noise_power_w"),
+            ("p0_dbm_list = 37, 1e300", "symmetric", "p0_dbm_list entry 1e+300 gives p0_w=inf, outside (0, inf)"),
+            ("p0_dbm_list = -1e300", "symmetric", "p0_dbm_list entry -1e+300 gives p0_w=0, outside (0, inf)"),
+        ],
+    )
+    def test_power_overflowing_watts_exit_code(self, tmp_path, capsys, line, command, message):
+        # the first three used to escape as an OverflowError traceback, the last as a ValueError
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), command]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("eta = 9\n")
+        cfg.write_text("eta_list = 9\n")
         assert main(["--config", str(cfg), "tradeoff"]) == 2
         assert "config error" in capsys.readouterr().err
 
@@ -212,12 +248,14 @@ class TestCli:
         "line, command",
         [
             ("tradeoff_theta_h_min = 0", ["tradeoff"]),
-            ("theta_b_rad = 0.1", ["search-n", "--sweep", "sigma"]),
+            ("theta_b_rad = 0.1", ["search-n"]),
             ("carrier_frequency_hz = 0", ["export-codebook"]),
+            ("tradeoff_theta_h_min = 5e-324", ["tradeoff"]),
         ],
     )
     def test_config_rejected_before_any_file_is_written(self, tmp_path, capsys, line, command):
-        # both used to fail mid-run with a traceback, leaving a header-only CSV and no manifest
+        # the first three used to fail mid-run with a traceback, leaving a header-only CSV and
+        # no manifest; the last used to exit 0 with an infinite directivity in its first row
         cfg = tmp_path / "c.cfg"
         cfg.write_text(line + "\n")
         out = tmp_path / "o"
@@ -225,15 +263,6 @@ class TestCli:
         key = line.split(" = ")[0]
         assert capsys.readouterr().err.startswith(f"config error: {key}=")
         assert not out.exists()
-
-    def test_empty_out_dir_in_config_exit_code(self, tmp_path, monkeypatch, capsys):
-        # used to exit 0, write into the working directory and print "wrote /tradeoff.csv"
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("tradeoff_grid_size = 5\nout_dir =\n")
-        monkeypatch.chdir(tmp_path)
-        assert main(["--config", str(cfg), "tradeoff"]) == 2
-        assert capsys.readouterr().err == "config error: line 2: empty value for 'out_dir'\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
 
     def test_empty_out_flag_exit_code(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -79,30 +79,36 @@ def geometry_grid():
     return cases
 
 
-def exact_between(base, speed, shift, exponent, a, b):
-    """``between(a, b)`` from the closed-form antiderivative in 60-digit ``decimal``.
+def exact_antiderivative(big_b, u, exponent):
+    """``F(u)``, an antiderivative of ``(B + u**2)**(n/2)`` in ``u`` for n = 2 to 5, in ``decimal``.
 
-    ``F(u)`` integrates ``(B + u**2)**(n/2)`` for n = 2 to 5 (Gradshteyn & Ryzhik 2.271), with
-    ``u = speed*t - shift`` formed exactly from the float inputs and ``dt = du/speed``;
-    ``ln(u + sqrt(B + u**2))`` is ``asinh(u/sqrt(B))`` up to a constant.
+    Gradshteyn & Ryzhik 2.271; ``ln(u + sqrt(B + u**2))`` is ``asinh(u/sqrt(B))`` up to a
+    constant. ``big_b`` and ``u`` are ``Decimal``s, taken at the context's precision.
+    """
+    if exponent == 2:
+        return big_b * u + u**3 / 3
+    if exponent == 4:
+        return big_b**2 * u + 2 * big_b * u**3 / 3 + u**5 / 5
+    root = (big_b + u * u).sqrt()
+    log = (u + root).ln()
+    if exponent == 3:
+        return u * (2 * u**2 + 5 * big_b) * root / 8 + 3 * big_b**2 / 8 * log
+    if exponent == 5:
+        return u * (8 * u**4 + 26 * big_b * u**2 + 33 * big_b**2) * root / 48 + 5 * big_b**3 / 16 * log
+    raise ValueError("no closed form for this exponent")
+
+
+def exact_between(base, speed, shift, exponent, a, b):
+    """``between(a, b)`` from ``exact_antiderivative`` in 60-digit ``decimal``.
+
+    ``u = speed*t - shift`` is formed exactly from the float inputs, and ``dt = du/speed``.
     """
     with localcontext() as ctx:
         ctx.prec = 60
         big_b, v, s = Decimal(base), Decimal(speed), Decimal(shift)
 
         def antiderivative(t):
-            u = v * Decimal(t) - s
-            root = (big_b + u * u).sqrt()
-            if exponent == 2:
-                return big_b * u + u**3 / 3
-            if exponent == 4:
-                return big_b**2 * u + 2 * big_b * u**3 / 3 + u**5 / 5
-            log = (u + root).ln()
-            if exponent == 3:
-                return u * (2 * u**2 + 5 * big_b) * root / 8 + 3 * big_b**2 / 8 * log
-            if exponent == 5:
-                return u * (8 * u**4 + 26 * big_b * u**2 + 33 * big_b**2) * root / 48 + 5 * big_b**3 / 16 * log
-            raise ValueError("no closed form for this exponent")
+            return exact_antiderivative(big_b, v * Decimal(t) - s, exponent)
 
         return float((antiderivative(b) - antiderivative(a)) / v)
 
