@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import math
 import os
@@ -80,6 +81,36 @@ class TestRunExperiment:
             run_experiment(small_cfg, name, b)
         for csv_a in a.glob("*.csv"):
             assert csv_a.read_bytes() == (b / csv_a.name).read_bytes()
+
+
+# SHA-256 of every CSV the six subcommands write at the default config
+DEFAULT_CSV_SHA256 = {
+    "codebook.csv": "72720060a50d5904ecee7585ba8dd804ecd1d00ad69e4d559315655a7ecd954e",
+    "d_vs_theta.csv": "7bbb05733371a2c9205b300b77a10ecd7924e0d9d9e922a597df278a066459e2",
+    "directivity_vs_sigma.csv": "e1c8f91c617445d881b06a00e73c6e45c6ed2b5f99b001fc0db20226cc949ccf",
+    "rate_region_eta0.8.csv": "035b777f475ba02d9c57c2260a40580d5797b7543c77e3170692498a453a8b51",
+    "rate_region_eta0.csv": "4ab8ead26ed103a3368fdeb3f825f18e292dd9f5af22c3e66cd6392733b0ca2d",
+    "rate_region_eta1.6.csv": "43e638640eaa69eea1a5311f37c62388c10cce75a9a48f3daf3d48fa7c478a24",
+    "rate_region_eta2.csv": "e718b8d6b8480f5e970090801e19bab0fe850eeba5ec54f068a7223bef5f67dc",
+    "symmetric.csv": "308be78d3f0653dc0f28663898cdf9eb246a032cc024aab42bbc25ba9607255c",
+    "tfds.csv": "298685d293eb492d4fd33aabb8a9b55c3514fb174c39761e1f33cb9ed9697439",
+    "tradeoff.csv": "c84c2a9df426c988fa5b115f40522f3c188c0b54b721e88ce0d49afaee20379a",
+    "traverse.csv": "2fbc208a4e683a18e84ebc7e20441c05693b454c04fe87fba12789cfbb6e12df",
+}
+
+
+def test_default_csvs_keep_their_bytes(tmp_path, capsys):
+    """Every subcommand at the default config writes the bytes pinned in ``DEFAULT_CSV_SHA256``.
+
+    A refactor keeps these digests. A deliberate numerical change updates them, and its
+    CHANGES.md line states the drift (max abs/rel) of each CSV that moved.
+    """
+    out = tmp_path / "o"
+    for command in _COMMANDS:
+        assert main(["--out", str(out), command]) == 0
+    capsys.readouterr()
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
+    assert digests == DEFAULT_CSV_SHA256
 
 
 class TestRowRederivability:
