@@ -114,7 +114,7 @@ class BeamGeometry:
     beamwidth: float  # rad
     directivity: float
     beam_index: int
-    index_offset: int
+    index_offset: int  # beam_index - 1 - beam_count // 2, the serving cell counted from the middle one
     left_bound: float  # m
     right_bound: float  # m
     coverage_length: float  # m
@@ -168,15 +168,6 @@ def directivity(cfg: ArrayConfig, beam_count: int) -> float:
     return cfg.array_type_factor * cfg.spacing * beam_count / cfg.wavelength
 
 
-def index_offset(theta_b: float, cfg: ArrayConfig, beam_count: int) -> int:
-    """Signed cell offset of ``theta_b`` from broadside (floor convention)."""
-    return _offset(theta_b, beamwidth(cfg, beam_count))
-
-
-def _offset(theta_b: float, width: float) -> int:
-    return math.floor((2.0 * theta_b - math.pi) / (2.0 * width))
-
-
 def _grid(cfg: ArrayConfig, beam_count: int) -> tuple[float, float, float, float, int]:
     """The package's one cell grid: ``(width, lo, hi, origin, half)`` for ``beam_count`` cells.
 
@@ -188,8 +179,8 @@ def _grid(cfg: ArrayConfig, beam_count: int) -> tuple[float, float, float, float
     width = beamwidth(cfg, beam_count)
     lo, hi = coverage_interval(cfg)
     if beam_count % 2 == 0:
-        # (theta - pi/2)/w has the bits of index_offset's (2*theta - pi)/(2*w):
-        # fl(pi) == 2*fl(pi/2) and doubling is exact, so broadside is exact too
+        # broadside is then an exact shared edge at every width: (pi/2 - origin)/width is 0, so
+        # it opens beam N/2 + 1 (test_boresight_maps_to_middle), where lo's quotient may round low
         return width, lo, hi, math.pi / 2, beam_count // 2
     return width, lo, hi, lo, 0
 
@@ -265,6 +256,6 @@ def beam_geometry(cfg: ArrayConfig, geo: RailGeometry, beam_count: int) -> BeamG
     cell, left, right = _rail_cell(geo, _rail_sine(geo.train_angle, lo, hi), width, origin, half, beam_count)
     return BeamGeometry(
         beam_count=beam_count, beamwidth=width, directivity=directivity(cfg, beam_count),
-        beam_index=cell + 1, index_offset=_offset(geo.train_angle, width),
+        beam_index=cell + 1, index_offset=cell - beam_count // 2,
         left_bound=left, right_bound=right, coverage_length=left + right,
     )

@@ -44,7 +44,6 @@ from railbeam.geometry import (
     beamwidth,
     coverage_interval,
     directivity,
-    index_offset,
     total_coverage,
     wavelength_from_frequency,
 )
@@ -340,7 +339,7 @@ class TestGeometryAgreement:
             assert (got.beam_count, got.beamwidth) == (n, beamwidth(cfg, n))
             assert got.directivity == directivity(cfg, n)
             assert got.beam_index == beam_index(theta, cfg, n), (n, theta)
-            assert got.index_offset == index_offset(theta, cfg, n), (n, theta)
+            assert got.index_offset == got.beam_index - 1 - n // 2, (n, theta)
             bounds = (got.left_bound, got.right_bound, got.coverage_length)
             assert bounds == beam_bounds_on_rail(geo, cfg, n), (n, theta)
 

@@ -15,7 +15,6 @@ from railbeam.geometry import (
     beamwidth,
     coverage_interval,
     directivity,
-    index_offset,
     rail_coordinate,
     total_coverage,
     wavelength_from_frequency,
@@ -29,6 +28,15 @@ def vi_array_config(**kwargs):
     defaults = dict(element_count=128, spacing=lam / 2, wavelength=lam)
     defaults.update(kwargs)
     return ArrayConfig(**defaults)
+
+
+def broadside_offset(theta, cfg, n):
+    """Signed cell of ``theta`` counted from broadside, ``floor((2*theta - pi)/(2*w))``.
+
+    The even-count grid's bit reference: ``(theta - pi/2)/w`` rounds to the same quotient,
+    since ``fl(pi) == 2*fl(pi/2)`` and doubling is exact.
+    """
+    return math.floor((2.0 * theta - math.pi) / (2.0 * beamwidth(cfg, n)))
 
 
 def random_config(rng, max_elements=512):
@@ -139,7 +147,7 @@ class TestBeamIndex:
 
     def test_even_grid_is_index_offset_from_broadside(self):
         # even counts anchor the cell grid at broadside: away from the clamped
-        # outer edges, beam b's cell b-1 is index_offset + N/2, bit for bit
+        # outer edges, beam b's cell b-1 is broadside_offset + N/2, bit for bit
         rng = random.Random(17)
         lo, hi = coverage_interval(CANONICAL)
         for n in (2, 6, 32, 128):
@@ -150,13 +158,34 @@ class TestBeamIndex:
                 thetas += [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
             for theta in thetas:
                 if lo <= theta <= hi:
-                    cell = index_offset(theta, CANONICAL, n) + n // 2
+                    cell = broadside_offset(theta, CANONICAL, n) + n // 2
                     assert beam_index(theta, CANONICAL, n) - 1 == min(max(cell, 0), n - 1), (n, theta)
 
     def test_half_width_offset(self):
         theta = math.pi / 2 + beamwidth(CANONICAL, 128) / 2
         assert beam_index(theta, CANONICAL, 128) == 65
-        assert index_offset(theta, CANONICAL, 128) == 0
+        assert broadside_offset(theta, CANONICAL, 128) == 0
+
+    @pytest.mark.parametrize("cfg", [CANONICAL, vi_array_config()], ids=["dyadic", "2.4GHz"])
+    def test_index_offset_is_the_serving_cell_from_the_middle(self, cfg):
+        # it used to be broadside_offset at every count: another beam at every odd count
+        # (offset -1 just below broadside with one beam), and outside the beam set at the
+        # coverage edges
+        rng = random.Random(37)
+        lo, hi = coverage_interval(cfg)
+        for n in [*range(1, 10), 127, 128]:
+            width = beamwidth(cfg, n)
+            thetas = [rng.uniform(lo, hi) for _ in range(200)]
+            for k in range(n + 1):
+                for edge in (lo + k * width, math.pi / 2 + k * width, math.pi / 2 - k * width):
+                    thetas += [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
+            for theta in (t for t in thetas if lo < t < hi):
+                g = beam_geometry(cfg, RailGeometry(50.0, 20.0, theta), n)
+                assert g.index_offset == g.beam_index - 1 - n // 2, (n, theta)
+                assert -(n // 2) <= g.index_offset <= n - 1 - n // 2, (n, theta)
+                old = broadside_offset(theta, cfg, n)
+                if n % 2 == 0 and 0 <= old + n // 2 < n:
+                    assert g.index_offset == old, (n, theta)
 
     def test_left_edge_clamps_to_one(self):
         lo, hi = coverage_interval(CANONICAL)
@@ -214,7 +243,7 @@ class TestBeamBounds:
             geo = RailGeometry(50.0, 20.0, theta)
             left, right, _ = beam_bounds_on_rail(geo, CANONICAL, 128)
             width = beamwidth(CANONICAL, 128)
-            chi = index_offset(theta, CANONICAL, 128)
+            chi = broadside_offset(theta, CANONICAL, 128)
             edge_low = math.pi / 2 + chi * width
             edge_high = edge_low + width
             x_low = rail_coordinate(edge_low, 50.0)
