@@ -63,8 +63,7 @@ class ExperimentConfig:
     """Fully resolved parameters for the library and the experiment runner."""
 
     # array / carrier
-    carrier_frequency_hz: float = 2.4e9
-    wavelength_m: float = 0.0  # derived from the carrier unless given
+    wavelength_m: float = wavelength_from_frequency(2.4e9)
     spacing_m: float = 0.0  # defaults to wavelength / 2
     element_count: int = 128
     beam_count: int = 128
@@ -145,6 +144,7 @@ _ALIASES = {
     "v0_kmh": ("v0_mps", kmh_to_mps),
     "p0_dbm": ("p0_w", dbm_to_watts),
     "noise_power_dbm": ("noise_power_w", dbm_to_watts),
+    "carrier_frequency_hz": ("wavelength_m", wavelength_from_frequency),
 }
 # field annotations are strings under ``from __future__ import annotations``
 _TYPE_PARSERS = {"float": _finite_float, "int": int, "tuple[float, ...]": _float_list}
@@ -236,14 +236,12 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
                 value = convert(value)
             except OverflowError as exc:
                 raise ConfigError(f"line {line}: {key}={value:g} overflows {target}") from exc
+            except ValueError as exc:  # a non-positive carrier frequency
+                raise ConfigError(f"line {line}: {key}={value:g}: {exc}") from exc
             key = target
         converted[key] = value
     cfg = ExperimentConfig(**converted)
 
-    if "wavelength_m" not in converted:
-        if not cfg.carrier_frequency_hz > 0:
-            raise ConfigError(f"carrier_frequency_hz={cfg.carrier_frequency_hz:g} must be positive")
-        cfg.wavelength_m = wavelength_from_frequency(cfg.carrier_frequency_hz)
     if "spacing_m" not in converted:
         cfg.spacing_m = cfg.wavelength_m / 2.0
     if "n_max" not in converted:

@@ -11,7 +11,7 @@ from railbeam.config import (
     kmh_to_mps,
     load_config,
 )
-from railbeam.geometry import coverage_interval
+from railbeam.geometry import coverage_interval, wavelength_from_frequency
 
 
 def write(tmp_path, text):
@@ -28,7 +28,7 @@ class TestDefaults:
         assert cfg.v0_mps == 100.0
         assert cfg.L_m == 800.0
         assert cfg.path_loss_exp == 3.0
-        assert cfg.carrier_frequency_hz == 2.4e9
+        assert cfg.wavelength_m == wavelength_from_frequency(2.4e9)
         assert cfg.wavelength_m == pytest.approx(0.12491666666666666, rel=1e-15)
         assert cfg.spacing_m == pytest.approx(cfg.wavelength_m / 2, rel=1e-15)
         assert cfg.beam_count == 128
@@ -74,6 +74,7 @@ class TestUnits:
             ("v0_mps", "v0_kmh"),
             ("p0_w", "p0_dbm"),
             ("noise_power_w", "noise_power_dbm"),
+            ("wavelength_m", "carrier_frequency_hz"),
         ],
     )
     def test_unit_pair_conflict_cites_alternate_line(self, tmp_path, field_key, alternate):
@@ -178,7 +179,8 @@ class TestRejections:
     @pytest.mark.parametrize("value", ["0", "-2.4e9"])
     def test_non_positive_carrier_frequency_is_a_config_error(self, tmp_path, value):
         # used to escape as the bare ValueError of wavelength_from_frequency
-        with pytest.raises(ConfigError, match=re.escape(f"carrier_frequency_hz={float(value):g} must be positive")):
+        message = f"line 1: carrier_frequency_hz={float(value):g}: carrier frequency must be positive"
+        with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(write(tmp_path, f"carrier_frequency_hz = {value}\n"))
 
     def test_coverage_invariant_surfaces_as_config_error(self, tmp_path):
@@ -216,7 +218,6 @@ class TestGridsAndComments:
 
 # One non-default value per ExperimentConfig field, as config text; every range check holds.
 EVERY_FIELD = {
-    "carrier_frequency_hz": ("3.5e9", 3.5e9),
     "wavelength_m": ("0.1", 0.1),
     "spacing_m": ("0.04", 0.04),
     "element_count": ("64", 64),
@@ -255,6 +256,7 @@ ALTERNATES = {
     "v0_kmh": ("288", "v0_mps", kmh_to_mps(288.0)),
     "p0_dbm": ("40", "p0_w", dbm_to_watts(40.0)),
     "noise_power_dbm": ("-100", "noise_power_w", dbm_to_watts(-100.0)),
+    "carrier_frequency_hz": ("3.5e9", "wavelength_m", wavelength_from_frequency(3.5e9)),
 }
 
 
