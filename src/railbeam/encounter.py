@@ -156,6 +156,10 @@ def _trains(sc: EncounterScenario) -> _Trains:
     whole, solo, shared = zip(*rows)
     weight = sc.beam_weight_1, sc.beam_weight_2
     snr = tuple(sc.power_budget / (sc.noise_power * w / k) for w, k in zip(whole, weight))
+    for train, c in enumerate(snr, 1):
+        # the solves square terms as large as a solo SNR (z**2, b*b): an inf there turns rates into NaN
+        if not c * c < math.inf:
+            raise ValueError(f"train {train}'s solo SNR {c:.6g} is too large: its square overflows")
     return _Trains(cum, weight, whole, solo, shared, snr, tuple(math.log1p(c) / LN2 for c in snr))
 
 

@@ -74,6 +74,18 @@ class TestRunExperiment:
             run_experiment(small_cfg, "tradeoff", "")
         assert list(tmp_path.iterdir()) == [tmp_path / "small.cfg"]
 
+    @pytest.mark.parametrize("experiment", ["rate-region", "symmetric"])
+    @pytest.mark.parametrize("line, train", [("noise_power_w = 5e-324", 1), ("beam_weight_2 = 1e300", 2)])
+    def test_overflowing_solo_snr_is_an_error(self, tmp_path, experiment, line, train):
+        # symmetric used to write NaN rows, or rows reached through inf/NaN arithmetic, and
+        # rate-region died on InfeasibleRateError or on converting a NaN to an integer
+        path = tmp_path / "c.cfg"
+        path.write_text(line + "\n")
+        out = tmp_path / "o"
+        with pytest.raises(ValueError, match=f"^train {train}'s solo SNR .* is too large: its square overflows$"):
+            run_experiment(load_config(path), experiment, out)
+        assert all(len(p.read_text().splitlines()) == 1 for p in out.glob("*.csv"))
+
     def test_byte_determinism(self, small_cfg, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for name in ("tradeoff", "search-n", "rate-region", "symmetric"):
