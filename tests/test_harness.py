@@ -67,7 +67,7 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(small_cfg, "mystery", tmp_path)
 
-    def test_empty_out_dir_rejected_before_any_file_is_written(self, small_cfg, tmp_path, monkeypatch):
+    def test_empty_out_rejected_before_any_file_is_written(self, small_cfg, tmp_path, monkeypatch):
         # Path("") is ".": it used to write tradeoff.csv and its manifest into the working directory
         monkeypatch.chdir(tmp_path)
         with pytest.raises(ValueError, match="out must name a directory"):
@@ -336,7 +336,7 @@ class TestCli:
         assert capsys.readouterr().err.startswith("cannot write output: ")
         assert out.read_text() == ""
 
-    def test_reports_written_path_under_out_dir(self, tmp_path, capsys):
+    def test_reports_written_path_under_out(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("tradeoff_grid_size = 5\n")
         assert main(["--config", str(cfg), "--out", f"{tmp_path / 'o'}/", "tradeoff"]) == 0
