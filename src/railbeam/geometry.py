@@ -179,8 +179,8 @@ def _grid(cfg: ArrayConfig, beam_count: int) -> tuple[float, float, float, float
     width = beamwidth(cfg, beam_count)
     lo, hi = coverage_interval(cfg)
     if beam_count % 2 == 0:
-        # broadside is then an exact shared edge at every width: (pi/2 - origin)/width is 0, so
-        # it opens beam N/2 + 1 (test_boresight_maps_to_middle), where lo's quotient may round low
+        # broadside is then an exact shared edge at every width: its quotient is exactly 0, so it
+        # opens beam N/2 + 1 (test_boresight_maps_to_middle); from lo, (pi/2 - lo)/w may round low
         return width, lo, hi, math.pi / 2, beam_count // 2
     return width, lo, hi, lo, 0
 

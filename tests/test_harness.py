@@ -308,18 +308,6 @@ class TestCli:
         assert re.match(rf"config error: (line 1: )?{key}=", capsys.readouterr().err)
         assert not out.exists()
 
-    @pytest.mark.parametrize("carrier_line", [1, 2])
-    def test_carrier_and_wavelength_both_set_exit_code(self, tmp_path, capsys, carrier_line):
-        # the file used to run on wavelength_m while its manifest recorded the carrier
-        lines = ["wavelength_m = 0.1\n", "carrier_frequency_hz = 3.5e9\n"]
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("".join(lines if carrier_line == 2 else lines[::-1]))
-        out = tmp_path / "o"
-        assert main(["--config", str(cfg), "--out", str(out), "export-codebook"]) == 2
-        message = "'wavelength_m' and 'carrier_frequency_hz' both set, pick one unit"
-        assert capsys.readouterr().err == f"config error: line {carrier_line}: {message}\n"
-        assert not out.exists()
-
     def test_empty_out_flag_exit_code(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
