@@ -125,6 +125,20 @@ def test_default_csvs_keep_their_bytes(tmp_path, capsys):
     assert digests == DEFAULT_CSV_SHA256
 
 
+def test_split_export_keeps_its_bytes(tmp_path, capsys):
+    """A 1024 x 513 ``export-codebook``, 525,312 rows: above ``_SPLIT_ROWS``, so split on two CPUs.
+
+    The in-process path writes the same bytes, so the digest holds on one CPU too.
+    """
+    config = tmp_path / "big.cfg"
+    config.write_text("element_count = 1024\nbeam_count = 513\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(config), "--out", str(out), "export-codebook"]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256((out / "codebook.csv").read_bytes()).hexdigest()
+    assert digest == "2e0778cee617c51a988d829620b13711b79da442d27c5e6241e41ec49501f2ae"
+
+
 class TestRowRederivability:
     def test_tradeoff_rows_satisfy_identity(self, small_cfg, tmp_path):
         run_experiment(small_cfg, "tradeoff", tmp_path)
