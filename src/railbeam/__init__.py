@@ -20,8 +20,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "codebook": (
-        "PhaseMapper", "SteeringVector", "array_factor", "build_phase_mapper",
-        "export_phase_mapper", "select_beam", "simulate_traverse", "steering_vector",
+        "PhaseMapper", "array_factor", "build_phase_mapper", "export_phase_mapper",
+        "select_beam", "simulate_traverse", "steering_vector",
     ),
     "config": ("ConfigError", "ExperimentConfig", "load_config"),
     "encounter": (

@@ -1,24 +1,25 @@
 """Offline phase-excitation codebook and location-driven beam selection.
 
-Every beam is a column of per-element phases precomputed for the cell
-midpoints of the covered angular range. Selecting a beam is a pure table
-lookup on the station direction; no channel measurements enter anywhere.
-The table is exported as CSV text one column at a time, through
-``csvout.phase_text``. ``export-codebook`` does not come here: it builds
-the same columns from ``geometry._phase_steps`` without numpy.
+Every beam is a progressive phase, one step per element, precomputed for
+the cell midpoints of the covered angular range. Selecting a beam is a pure
+table lookup on the station direction; no channel measurements enter
+anywhere. The table is exported as CSV text, one beam at a time, through
+``csvout.phase_text``, which forms each column from its step: so does
+``export-codebook``, without numpy and without a mapper.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
 from .csvout import PHASE_TABLE_HEADER, phase_text, write_csv  # the header is re-exported
-from .geometry import ArrayConfig, _check_beam_count, coverage_interval, total_coverage
+from .geometry import ArrayConfig, _beam_centres, _phase_steps
 from .traverse import (  # re-exported: the traverse log's names are codebook's public API too
     TRAVERSE_HEADER, NotYetEnteredError, TraverseLog, TraverseSample, _samples, export_traverse, traverse_text,
 )
@@ -26,87 +27,54 @@ from .traverse import (  # re-exported: the traverse log's names are codebook's 
 
 @dataclass(frozen=True)
 class PhaseMapper:
-    """Element-by-beam phase table plus the beam center angles.
+    """Each beam's phase step and center angle, for an array of ``element_count`` elements.
 
-    ``phases[m, i]`` is the phase (rad) applied on element ``m+1`` for beam
-    ``i+1``; ``beam_centers[i]`` is the midpoint of beam ``i+1``'s angular
-    cell.
+    ``steps[i]`` is beam ``i+1``'s per-element phase step (rad) and ``beam_centers[i]`` the
+    midpoint of its angular cell. ``phases[m, i] = m * steps[i]`` is the phase applied on
+    element ``m+1`` for beam ``i+1``; the (M, N) table is built on first use.
     """
 
-    phases: np.ndarray  # (M, N) rad
+    steps: np.ndarray  # (N,) rad
     beam_centers: np.ndarray  # (N,) rad
+    element_count: int
 
-    @property
-    def element_count(self) -> int:
-        return self.phases.shape[0]
+    @cached_property
+    def phases(self) -> np.ndarray:  # (M, N) rad
+        # element 1's row is 0.0 * step: -0.0 where the step is negative
+        return np.arange(float(self.element_count))[:, None] * self.steps
 
     @property
     def beam_count(self) -> int:
-        return self.phases.shape[1]
-
-
-@dataclass(frozen=True)
-class SteeringVector:
-    """Per-element unit phasors of the array response toward one angle."""
-
-    entries: np.ndarray  # (M,) complex, |entry| = 1, entries[0] = 1
-    wavenumber: float  # rad/m
+        return len(self.steps)
 
 
 def wavenumber(cfg: ArrayConfig) -> float:
     return 2.0 * math.pi / cfg.wavelength
 
 
-def _beam_centers(cfg: ArrayConfig, beam_count: int) -> np.ndarray:
-    """Midpoints of the ``beam_count`` equal cells of the coverage interval."""
-    return coverage_interval(cfg)[0] + np.arange(0.5, beam_count) * (total_coverage(cfg) / beam_count)
-
-
 def build_phase_mapper(cfg: ArrayConfig, beam_count: int) -> PhaseMapper:
-    """Phase table steering one beam at each cell midpoint.
+    """Phase steps steering one beam at each cell midpoint.
 
     Element ``m`` of beam ``i`` gets the cumulative progressive phase
     ``-(m-1) * k * d * cos(center_i)`` so that the per-element propagation
-    phase cancels exactly at the beam center. ``geometry._phase_steps``
-    states the same formula without numpy, with the same bits.
+    phase cancels exactly at the beam center; ``geometry`` states the
+    centres and the steps.
     """
-    _check_beam_count(cfg, beam_count)
-    centers = _beam_centers(cfg, beam_count)
-    k = wavenumber(cfg)
-    # one broadcast product; element 1's row is 0.0 * (-k d cos(centre)), -0.0 where cos > 0
-    phases = np.arange(float(cfg.element_count))[:, None] * (-k * cfg.spacing * np.cos(centers))
-    return PhaseMapper(phases=phases, beam_centers=centers)
+    centres = _beam_centres(cfg, beam_count)
+    return PhaseMapper(np.array(_phase_steps(cfg, centres)), np.array(centres), cfg.element_count)
 
 
-def steering_vector(
-    theta: float, beam: int, mapper: PhaseMapper, cfg: ArrayConfig
-) -> SteeringVector:
-    """Array response toward ``theta`` through beam ``beam``'s phase column."""
+def steering_vector(theta: float, beam: int, mapper: PhaseMapper, cfg: ArrayConfig) -> np.ndarray:
+    """Per-element unit phasors, (M,) complex, of the array response toward ``theta`` through beam ``beam``."""
     if not 1 <= beam <= mapper.beam_count:
         raise ValueError(f"beam {beam} outside [1, {mapper.beam_count}]")
-    k = wavenumber(cfg)
     m = np.arange(mapper.element_count)
-    entries = np.exp(1j * (m * k * cfg.spacing * math.cos(theta) + mapper.phases[:, beam - 1]))
-    return SteeringVector(entries=entries, wavenumber=k)
+    return np.exp(1j * (m * wavenumber(cfg) * cfg.spacing * math.cos(theta) + mapper.phases[:, beam - 1]))
 
 
-def array_factor(
-    theta: float,
-    beam: int,
-    mapper: PhaseMapper,
-    cfg: ArrayConfig,
-    amplitudes: np.ndarray | None = None,
-) -> float:
-    """Normalized power pattern of one beam, 1.0 at its center.
-
-    ``amplitudes`` are the per-element excitations; a uniform array is
-    assumed when omitted.
-    """
-    vec = steering_vector(theta, beam, mapper, cfg).entries
-    if amplitudes is None:
-        amplitudes = np.ones(mapper.element_count)
-    total = float(np.sum(amplitudes))
-    return float(np.abs(np.sum(amplitudes * vec)) ** 2) / total**2
+def array_factor(theta: float, beam: int, mapper: PhaseMapper, cfg: ArrayConfig) -> float:
+    """Normalized power pattern of one beam of a uniform array, 1.0 at its center."""
+    return float(np.abs(np.sum(steering_vector(theta, beam, mapper, cfg))) ** 2) / mapper.element_count**2
 
 
 def select_beam(theta_b: float, mapper: PhaseMapper, cfg: ArrayConfig) -> tuple[int, np.ndarray]:
@@ -138,11 +106,10 @@ def simulate_traverse(
 def phase_table_text(mapper: PhaseMapper) -> Iterator[str]:
     """The phase table as ``beam_id,element_id,phase_rad`` CSV lines, in chunks of whole lines.
 
-    ``csvout.phase_text`` formats it from each column's ``tolist()``, one beam to a chunk,
+    ``csvout.phase_text`` forms each beam's column from its step, one beam to a chunk,
     or, for a large table, with a helper process taking the upper half of the beams.
     """
-    phases = mapper.phases
-    return phase_text(*phases.shape, lambda i: phases[:, i].tolist())
+    return phase_text(mapper.element_count, mapper.steps.tolist())
 
 
 def export_phase_mapper(mapper: PhaseMapper, path: str | Path) -> None:

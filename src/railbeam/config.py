@@ -236,7 +236,7 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
                 value = convert(value)
             except OverflowError as exc:
                 raise ConfigError(f"line {line}: {key}={value:g} overflows {target}") from exc
-            except ValueError as exc:  # a non-positive carrier frequency
+            except ValueError as exc:  # a non-positive carrier, or one whose wavelength is not finite
                 raise ConfigError(f"line {line}: {key}={value:g}: {exc}") from exc
             key = target
         converted[key] = value

@@ -2,9 +2,9 @@
 
 LF line endings; int and bool columns as integers, all others as ``%.12g``.
 Tables arrive as text chunks of whole lines, written as each is built.
-``column_table_text`` formats ``id,row,value`` tables such as the phase table,
-one ``%`` per column. ``phase_text`` turns plain float columns into the phase
-table, and splits a large one with a bare helper interpreter that runs
+``column_table_text`` formats the phase table's ``id,row,value`` lines, one ``%``
+per beam, from each beam's phase step. ``phase_text`` turns the steps into the
+phase table, and splits a large one with a bare helper interpreter that runs
 ``_format_part``. This module imports no numpy, so ``export-codebook`` and the
 helper load none.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 import sys
-from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
+from collections.abc import Collection, Iterable, Iterator, Sequence
 
 PHASE_TABLE_HEADER = ("beam_id", "element_id", "phase_rad")
 
@@ -43,18 +43,18 @@ def write_csv(path: str | os.PathLike[str], header: Sequence[str], chunks: Itera
     return rows
 
 
-def column_table_text(first: int, columns: Iterable[Sequence[float]]) -> Iterator[str]:
-    """``id,row,value`` lines, one chunk per column: ids count up from ``first``, rows from 1.
+def column_table_text(first: int, length: int, steps: Iterable[float]) -> Iterator[str]:
+    """``id,row,value`` lines, one chunk per step: ids count up from ``first``, rows from 1.
 
-    Column ``id`` is one ``%`` over ``str(id).join(rows)``, whose ``rows`` (``",1,%.12g\\n"``
-    onward, after an empty first item) are built once per column length; ``%.12g`` prints
-    as ``row_format``'s ``{:.12g}``.
+    Row ``m+1`` of a step's column holds ``m * step``, the phase of element ``m+1``, with the
+    bits of ``codebook.PhaseMapper.phases``. Column ``id`` is one ``%`` over ``str(id).join(rows)``,
+    whose ``rows`` (``",1,%.12g\\n"`` onward, after an empty first item) are built once;
+    ``%.12g`` prints as ``row_format``'s ``{:.12g}``.
     """
-    rows: list[str] = []
-    for ident, column in enumerate(columns, first):
-        if len(rows) != len(column) + 1:
-            rows = [""] + [f",{m},%.12g\n" for m in range(1, len(column) + 1)]
-        yield str(ident).join(rows) % tuple(column)
+    rows = [""] + [f",{m},%.12g\n" for m in range(1, length + 1)]
+    elements = [float(m) for m in range(length)]
+    for ident, step in enumerate(steps, first):
+        yield str(ident).join(rows) % tuple([m * step for m in elements])
 
 
 def _cpus() -> int:
@@ -64,50 +64,50 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def phase_text(length: int, count: int, column: Callable[[int], Sequence[float]]) -> Iterator[str]:
+def phase_text(length: int, steps: Sequence[float]) -> Iterator[str]:
     """The phase table as ``beam_id,element_id,phase_rad`` CSV lines, in chunks of whole lines.
 
-    ``column(i)`` gives beam ``i+1``'s ``length`` phases as plain floats; each is asked for
-    once, when its beam's turn comes. Below ``_SPLIT_ROWS`` rows, or with one CPU, each beam
-    is one chunk, formatted here by ``column_table_text``. A larger table is split: once
-    iterated, one helper process formats the upper half of the beams while this one formats
-    the lower half, and the helper's text follows in blocks of 64 KiB. The bytes are the same
-    either way, and each process holds one column's text at a time, never the table's.
+    ``steps`` are the beams' phase steps as plain floats, and ``length`` the element count.
+    Below ``_SPLIT_ROWS`` rows, or with one CPU, each beam is one chunk, formatted here by
+    ``column_table_text``. A larger table is split: once iterated, one helper process formats
+    the upper half of the beams while this one formats the lower half, and the helper's text
+    follows in blocks of 64 KiB. The bytes are the same either way, and each process holds one
+    column's text at a time, never the table's.
     """
-    if length * count >= _SPLIT_ROWS and _cpus() >= 2 and sys.executable:
-        return _split_table_text(length, count, column)
-    return column_table_text(1, map(column, range(count)))
+    if length * len(steps) >= _SPLIT_ROWS and _cpus() >= 2 and sys.executable:
+        return _split_table_text(length, steps)
+    return column_table_text(1, length, steps)
 
 
-def _split_table_text(length: int, count: int, column: Callable[[int], Sequence[float]]) -> Iterator[str]:
-    """Beams ``1 … count//2`` formatted here and the rest by a helper process, in order.
+def _split_table_text(length: int, steps: Sequence[float]) -> Iterator[str]:
+    """Beams ``1 … len(steps)//2`` formatted here and the rest by a helper process, in order.
 
-    The helper starts up while its columns are written, as raw float64, to a temporary
-    file; closing its stdin tells it the file is complete. It writes its text to a part
-    file next to that one, and both go with the call. The helper is killed and reaped on
-    every exit, early close and errors included; a helper that fails raises
-    ``ChildProcessError`` with the tail of its stderr.
+    The helper reads its steps, as raw float64, from its stdin until it closes, and writes its
+    text to a part file in a temporary folder that goes with the call. The helper is killed
+    and reaped on every exit, early close and errors included; a helper that fails, even
+    before it reads its steps, raises ``ChildProcessError`` with the tail of its stderr.
     """
     import subprocess
     import tempfile
     from array import array
 
-    half = count // 2
+    half = len(steps) // 2
     with tempfile.TemporaryDirectory(prefix="railbeam-") as tmp:
-        columns_path, part_path = os.path.join(tmp, "columns.f64"), os.path.join(tmp, "part.csv")
+        part_path = os.path.join(tmp, "part.csv")
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         # -I drops PYTHONDONTWRITEBYTECODE with the rest of the environment, so -B carries it over
         argv = [sys.executable, "-I", "-S", *(["-B"] if sys.dont_write_bytecode else []), "-c", _HELPER]
-        argv += [root, columns_path, part_path, str(half + 1), str(count - half), str(length)]
+        argv += [root, part_path, str(half + 1), str(length)]
         with subprocess.Popen(
             argv, stdin=subprocess.PIPE, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE
         ) as proc:
             try:
-                with open(columns_path, "wb") as fh:
-                    for i in range(half, count):
-                        fh.write(array("d", column(i)))
-                proc.stdin.close()
-                yield from column_table_text(1, map(column, range(half)))
+                try:
+                    with proc.stdin:
+                        proc.stdin.write(array("d", steps[half:]))
+                except BrokenPipeError:
+                    pass  # the helper exited unread: its status and stderr below say why
+                yield from column_table_text(1, length, steps[:half])
                 stderr = proc.stderr.read()
                 proc.wait()
             finally:
@@ -125,19 +125,10 @@ def _split_table_text(length: int, count: int, column: Callable[[int], Sequence[
                 yield block[:cut]
 
 
-def _format_part(columns_path: str, part_path: str, first: str, count: str, length: str) -> None:
-    """Helper-process entry: ``count`` raw float64 columns of ``length`` in, their text out.
-
-    The columns file is read once stdin closes, the writer's sign that it is complete.
-    """
+def _format_part(part_path: str, first: str, length: str) -> None:
+    """Helper-process entry: raw float64 steps in on stdin, their beams' text out to ``part_path``."""
     from array import array
 
-    def columns(src) -> Iterator[array]:
-        for _ in range(int(count)):
-            column = array("d")
-            column.fromfile(src, int(length))  # EOFError on a short file
-            yield column
-
-    sys.stdin.buffer.read()
-    with open(columns_path, "rb") as src, open(part_path, "w", newline="") as out:
-        out.writelines(column_table_text(int(first), columns(src)))
+    steps = array("d", sys.stdin.buffer.read())
+    with open(part_path, "w", newline="") as out:
+        out.writelines(column_table_text(int(first), int(length), steps))

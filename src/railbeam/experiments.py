@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Sequence
 from . import __version__
 from .config import ExperimentConfig, dbm_to_watts
 from .csvout import PHASE_TABLE_HEADER, phase_text, row_format, write_csv
-from .geometry import _check_beam_count, _phase_steps, coverage_interval, rail_coordinate
+from .geometry import _beam_centres, _check_beam_count, _phase_steps, coverage_interval, rail_coordinate
 from .positioning import search_beam_count
 
 # ``encounter`` (and so numpy) is imported inside the runners that call it, so
@@ -147,16 +147,10 @@ def _run_traverse(cfg: ExperimentConfig):
 
 
 def _run_export_codebook(cfg: ExperimentConfig):
-    # codebook.build_phase_mapper's table, one column of plain floats at a time: no numpy
+    # codebook.build_phase_mapper's steps, in plain floats: no numpy
     array_cfg = cfg.array_config()
-    steps = _phase_steps(array_cfg, cfg.beam_count)
-    elements = [float(m) for m in range(array_cfg.element_count)]
-
-    def column(i: int) -> list[float]:
-        step = steps[i]
-        return [m * step for m in elements]
-
-    return {"codebook.csv": (PHASE_TABLE_HEADER, phase_text(len(elements), len(steps), column))}, []
+    steps = _phase_steps(array_cfg, _beam_centres(array_cfg, cfg.beam_count))
+    return {"codebook.csv": (PHASE_TABLE_HEADER, phase_text(array_cfg.element_count, steps))}, []
 
 
 EXPERIMENTS: dict[str, Callable] = {

@@ -38,7 +38,10 @@ def wavelength_from_frequency(carrier_hz: float) -> float:
     """Carrier wavelength in meters."""
     if carrier_hz <= 0:
         raise ValueError("carrier frequency must be positive")
-    return SPEED_OF_LIGHT / carrier_hz
+    wavelength = SPEED_OF_LIGHT / carrier_hz
+    if not math.isfinite(wavelength):
+        raise ValueError("wavelength is not finite")
+    return wavelength
 
 
 @dataclass(frozen=True)
@@ -149,17 +152,22 @@ def beamwidth(cfg: ArrayConfig, beam_count: int) -> float:
     )
 
 
-def _phase_steps(cfg: ArrayConfig, beam_count: int) -> list[float]:
-    """Each beam's per-element phase step, ``-k*d*cos(centre)``, in plain floats.
-
-    Beam ``i+1`` steers at its cell midpoint ``lo + (i + 0.5)*width``, and element ``m+1``
-    of it gets ``m`` times its step: ``codebook.build_phase_mapper``'s numpy product,
-    stated again here with the same bits, so the phase table can be built without numpy.
-    """
+def _beam_centres(cfg: ArrayConfig, beam_count: int) -> list[float]:
+    """Midpoints ``lo + (i + 0.5)*width`` of the ``beam_count`` equal cells of the coverage, in plain floats."""
     _check_beam_count(cfg, beam_count)
     lo, width = coverage_interval(cfg)[0], total_coverage(cfg) / beam_count
+    return [lo + (i + 0.5) * width for i in range(beam_count)]
+
+
+def _phase_steps(cfg: ArrayConfig, centres: list[float]) -> list[float]:
+    """Each beam's per-element phase step, ``-k*d*cos(centre)``, in plain floats.
+
+    Element ``m+1`` of the beam steering at ``centre`` gets ``m`` times its step, which cancels
+    the per-element propagation phase there: ``codebook.PhaseMapper`` and the CSV export
+    (``csvout.phase_text``) both build their phases from these steps.
+    """
     step = -(2.0 * math.pi / cfg.wavelength) * cfg.spacing
-    return [step * math.cos(lo + (i + 0.5) * width) for i in range(beam_count)]
+    return [step * math.cos(centre) for centre in centres]
 
 
 def directivity(cfg: ArrayConfig, beam_count: int) -> float:

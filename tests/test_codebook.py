@@ -21,7 +21,6 @@ from railbeam.codebook import (
     NotYetEnteredError,
     PhaseMapper,
     TraverseSample,
-    _beam_centers,
     build_phase_mapper,
     array_factor,
     export_phase_mapper,
@@ -38,6 +37,7 @@ from railbeam.geometry import (
     OutOfCoverageError,
     RailGeometry,
     SingularGeometryError,
+    _beam_centres,
     _phase_steps,
     beam_bounds_on_rail,
     beam_geometry,
@@ -56,17 +56,15 @@ CFG128 = ArrayConfig(element_count=128, spacing=0.0625, wavelength=0.125)
 
 
 def load_phase_mapper(path, cfg):
-    """Rebuild a mapper from its CSV export; centers come from ``cfg``."""
-    rows = {}
+    """Rebuild a mapper from its CSV export: each beam's step is its element-2 phase; centers come from ``cfg``."""
+    steps, elements = {}, 0
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
-            rows[(int(row["beam_id"]), int(row["element_id"]))] = float(row["phase_rad"])
-    n_beams = max(beam for beam, _ in rows)
-    n_elem = max(element for _, element in rows)
-    phases = np.empty((n_elem, n_beams))
-    for (beam, element), phase in rows.items():
-        phases[element - 1, beam - 1] = phase
-    return PhaseMapper(phases=phases, beam_centers=_beam_centers(cfg, n_beams))
+            elements = max(elements, int(row["element_id"]))
+            if row["element_id"] == "2":
+                steps[int(row["beam_id"])] = float(row["phase_rad"])
+    centres = np.array(_beam_centres(cfg, len(steps)))
+    return PhaseMapper(steps=np.array([steps[b] for b in sorted(steps)]), beam_centers=centres, element_count=elements)
 
 
 def pattern_argmax(mapper, cfg, beam, resolution=1e-4):
@@ -114,6 +112,11 @@ class TestMapperConstruction:
         with pytest.raises(ValueError):
             build_phase_mapper(CFG8, 9)
 
+    def test_phases_are_built_on_first_use(self):
+        mapper = build_phase_mapper(CFG64, 64)
+        assert "phases" not in vars(mapper)  # the mapper holds steps, not the (M, N) table
+        assert mapper.phases is mapper.phases
+
     @pytest.mark.parametrize("elements", [1, 16, 128, 1024])
     def test_table_bytes_match_outer_product_reference(self, elements):
         # tobytes() makes the sign of every zero count, and the strides must agree too
@@ -128,7 +131,7 @@ class TestMapperConstruction:
             assert mapper.phases.strides == phases.strides
 
     def test_numpy_free_columns_have_the_table_bits(self):
-        # export-codebook's columns, [m * step for m in elements], against the numpy product
+        # csvout's columns, [m * step for m in elements], against PhaseMapper.phases' numpy product
         rng = random.Random(3400)
         for _ in range(300):
             wavelength = wavelength_from_frequency(rng.uniform(0.7e9, 6.0e9))
@@ -141,7 +144,7 @@ class TestMapperConstruction:
             )
             beams = rng.randint(1, elements)
             floats = [float(m) for m in range(elements)]
-            columns = [m * step for step in _phase_steps(cfg, beams) for m in floats]
+            columns = [m * step for step in _phase_steps(cfg, _beam_centres(cfg, beams)) for m in floats]
             assert array("d", columns).tobytes() == build_phase_mapper(cfg, beams).phases.T.tobytes()
 
 
@@ -150,21 +153,20 @@ class TestSteeringVector:
         mapper = build_phase_mapper(CFG64, 64)
         for beam in (1, 17, 32, 64):
             vec = steering_vector(mapper.beam_centers[beam - 1], beam, mapper, CFG64)
-            assert abs(np.abs(vec.entries.sum()) - 64.0) < 1e-9
+            assert abs(np.abs(vec.sum()) - 64.0) < 1e-9
 
     def test_unit_modulus_and_leading_one(self):
         mapper = build_phase_mapper(CFG8, 8)
         vec = steering_vector(1.1, 5, mapper, CFG8)
-        assert_allclose(np.abs(vec.entries), 1.0, rtol=1e-12)
-        assert vec.entries[0] == 1.0 + 0.0j
-        assert vec.wavenumber == pytest.approx(2 * math.pi / 0.125, rel=1e-15)
+        assert_allclose(np.abs(vec), 1.0, rtol=1e-12)
+        assert vec[0] == 1.0 + 0.0j
 
     def test_single_element(self):
         cfg = ArrayConfig(element_count=1, spacing=0.0625, wavelength=0.125)
         mapper = build_phase_mapper(cfg, 1)
         vec = steering_vector(1.3, 1, mapper, cfg)
-        assert vec.entries.shape == (1,)
-        assert vec.entries[0] == 1.0 + 0.0j
+        assert vec.shape == (1,)
+        assert vec[0] == 1.0 + 0.0j
 
     def test_half_power_at_half_width_offset(self):
         for cfg, n in ((ArrayConfig(16, 0.0625, 0.125), 16), (CFG64, 64)):
@@ -172,7 +174,7 @@ class TestSteeringVector:
             beam = n // 2 + 1
             center = mapper.beam_centers[beam - 1]
             off = center + beamwidth(cfg, n) / 2
-            vec = steering_vector(off, beam, mapper, cfg).entries
+            vec = steering_vector(off, beam, mapper, cfg)
             level = np.abs(vec.sum()) ** 2 / n**2
             assert abs(level - 0.5) <= 0.15 * 0.5
 
@@ -224,12 +226,6 @@ class TestArrayFactor:
         for beam in range(1, 9):
             peak = pattern_argmax(mapper, CFG8, beam)
             assert lo + (beam - 1) * cell - 1e-4 <= peak <= lo + beam * cell + 1e-4
-
-    def test_custom_amplitudes_normalize(self):
-        mapper = build_phase_mapper(CFG8, 8)
-        amps = np.linspace(1.0, 2.0, 8)
-        value = array_factor(mapper.beam_centers[2], 3, mapper, CFG8, amplitudes=amps)
-        assert value == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSelectBeam:
@@ -565,10 +561,9 @@ def per_row_reference(mapper):
     ]
 
 
-def plain_columns(mapper):
-    """``csvout``'s view of a mapper's table: its size and a lookup into ``phases.T.tolist()``."""
-    columns = mapper.phases.T.tolist()
-    return mapper.element_count, mapper.beam_count, columns.__getitem__
+def plain_steps(mapper):
+    """``csvout``'s view of a mapper's table: its element count and its steps as plain floats."""
+    return mapper.element_count, mapper.steps.tolist()
 
 
 def small_mapper(elements, beams):
@@ -621,13 +616,13 @@ class TestSplitPhaseTable:
     @pytest.mark.parametrize("elements, beams", [(16, 5), (7, 3), (1, 1), (64, 64)])
     def test_bytes_match_per_row_reference(self, elements, beams, scratch_tmp):
         mapper = small_mapper(elements, beams)
-        chunks = list(csvout._split_table_text(*plain_columns(mapper)))
+        chunks = list(csvout._split_table_text(*plain_steps(mapper)))
         assert "".join(chunks) == "".join(per_row_reference(mapper))
         assert all(chunk.endswith("\n") for chunk in chunks)
         assert_nothing_left(scratch_tmp)
 
     def test_element_one_keeps_the_sign_of_zero(self, scratch_tmp):
-        text = "".join(csvout._split_table_text(*plain_columns(build_phase_mapper(CFG8, 8))))
+        text = "".join(csvout._split_table_text(*plain_steps(build_phase_mapper(CFG8, 8))))
         assert text.startswith("1,1,-0\n")
         assert "\n8,1,0\n" in text  # beam 8, formatted by the helper
         assert_nothing_left(scratch_tmp)
@@ -645,11 +640,11 @@ class TestSplitPhaseTable:
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_failed_write_reaps_the_helper(self, scratch_tmp):
         with pytest.raises(OSError):
-            write_csv("/dev/full", PHASE_TABLE_HEADER, csvout._split_table_text(*plain_columns(small_mapper(64, 64))))
+            write_csv("/dev/full", PHASE_TABLE_HEADER, csvout._split_table_text(*plain_steps(small_mapper(64, 64))))
         assert_nothing_left(scratch_tmp)
 
     def test_directory_removed_mid_run(self, scratch_tmp):
-        chunks = csvout._split_table_text(*plain_columns(small_mapper(64, 64)))
+        chunks = csvout._split_table_text(*plain_steps(small_mapper(64, 64)))
         next(chunks)
         (folder,) = scratch_tmp.iterdir()
         shutil.rmtree(folder)
@@ -658,7 +653,7 @@ class TestSplitPhaseTable:
         assert_nothing_left(scratch_tmp)
 
     def test_closed_after_the_first_chunk(self, scratch_tmp):
-        chunks = csvout._split_table_text(*plain_columns(small_mapper(64, 64)))
+        chunks = csvout._split_table_text(*plain_steps(small_mapper(64, 64)))
         assert next(chunks).startswith("1,1,")
         chunks.close()
         assert_nothing_left(scratch_tmp)
@@ -666,8 +661,47 @@ class TestSplitPhaseTable:
     def test_failing_helper_raises_with_its_stderr(self, scratch_tmp, monkeypatch):
         monkeypatch.setattr(csvout, "_HELPER", "raise SystemExit('helper failed on purpose')")
         with pytest.raises(ChildProcessError, match="status 1: helper failed on purpose"):
-            list(csvout._split_table_text(*plain_columns(small_mapper(16, 5))))
+            list(csvout._split_table_text(*plain_steps(small_mapper(16, 5))))
         assert_nothing_left(scratch_tmp)
+
+    def test_steps_beyond_the_pipe_buffer(self, tmp_path):
+        # 20,001 one-element beams: the helper's 10,001 steps are 80 KB on its stdin, above the
+        # 64 KiB pipe buffer, so a helper that exits unread leaves the write on a closed pipe.
+        # The split runs in a child with a timeout, so a deadlock fails instead of hanging.
+        rng = random.Random(3801)
+        steps = [rng.uniform(-40.0, 40.0) for _ in range(20001)]
+        folder = tmp_path / "tmp"
+        folder.mkdir()
+        code = "\n".join([
+            "import os, sys, tempfile",
+            "from array import array",
+            "from railbeam import csvout",
+            "tempfile.tempdir = sys.argv[1]",
+            "steps = array('d', sys.stdin.buffer.read()).tolist()",
+            "text = ''.join(csvout._split_table_text(1, steps))",
+            "csvout._HELPER = \"raise SystemExit('helper exited unread')\"",
+            "try:",
+            "    list(csvout._split_table_text(1, steps))",
+            "except ChildProcessError as exc:",
+            "    print(exc)",
+            "try:",
+            "    os.waitpid(-1, os.WNOHANG)",
+            "except ChildProcessError:",
+            "    print('reaped')",
+            "sys.stdout.write(text)",
+        ])
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(codebook.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(folder)], input=array("d", steps).tobytes(),
+            env=env, capture_output=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        error, reaped, text = proc.stdout.decode().split("\n", 2)
+        assert error == "phase table helper exited with status 1: helper exited unread"
+        assert reaped == "reaped"  # no child process, running or unreaped
+        mapper = PhaseMapper(steps=np.array(steps), beam_centers=np.full(len(steps), math.nan), element_count=1)
+        assert text == "".join(per_row_reference(mapper))
+        assert list(folder.iterdir()) == []
 
     def test_cli_reports_a_failing_helper(self, scratch_tmp, tmp_path, monkeypatch, capsys):
         if csvout._cpus() < 2:
@@ -685,28 +719,22 @@ class TestSplitPhaseTable:
         shutil.copytree(os.path.dirname(codebook.__file__), tmp_path / "railbeam", ignore=shutil.ignore_patterns("__pycache__"))
         code = "from railbeam.codebook import build_phase_mapper, ArrayConfig\n"
         code += "from railbeam.csvout import _split_table_text\n"
-        code += "columns = build_phase_mapper(ArrayConfig(16, 0.0625, 0.125), 5).phases.T.tolist()\n"
-        code += "list(_split_table_text(16, 5, columns.__getitem__))"
+        code += "list(_split_table_text(16, build_phase_mapper(ArrayConfig(16, 0.0625, 0.125), 5).steps.tolist()))"
         env = dict(os.environ, PYTHONPATH=str(tmp_path), PYTHONDONTWRITEBYTECODE="1")
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert not (tmp_path / "railbeam" / "__pycache__").exists()
 
     def test_helper_imports_no_numpy(self, tmp_path):
-        columns = [[0.5, -0.0, 1e-300, 2.0 / 3.0], [-1.25, 3e10, 0.1, -7.0]]
-        with open(tmp_path / "columns.f64", "wb") as fh:
-            for column in columns:
-                array("d", column).tofile(fh)
+        # the helper's protocol: raw float64 steps on stdin; part path, first beam id and length in argv
+        steps = [0.5, -0.0, 1e-300, -1.25, 2.0 / 3.0]
         root = os.path.dirname(os.path.dirname(codebook.__file__))
         check = "; assert 'numpy' not in sys.modules, sorted(sys.modules)"
-        argv = [sys.executable, "-I", "-S", "-c", csvout._HELPER + check, root]
-        argv += [str(tmp_path / "columns.f64"), str(tmp_path / "part.csv"), "3", "2", "4"]
-        proc = subprocess.run(argv, stdin=subprocess.DEVNULL, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
+        argv = [sys.executable, "-I", "-S", "-c", csvout._HELPER + check, root, str(tmp_path / "part.csv"), "3", "4"]
+        proc = subprocess.run(argv, input=array("d", steps).tobytes(), capture_output=True)
+        assert proc.returncode == 0, proc.stderr.decode()
         row = row_format(PHASE_TABLE_HEADER, int_columns=("beam_id", "element_id"))
-        expected = "".join(
-            row.format(beam, m, value) for beam, column in enumerate(columns, 3) for m, value in enumerate(column, 1)
-        )
+        expected = "".join(row.format(beam, m + 1, m * step) for beam, step in enumerate(steps, 3) for m in range(4))
         assert (tmp_path / "part.csv").read_text() == expected
 
 

@@ -183,6 +183,12 @@ class TestRejections:
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(write(tmp_path, f"carrier_frequency_hz = {value}\n"))
 
+    def test_carrier_frequency_with_an_infinite_wavelength_is_a_config_error(self, tmp_path):
+        # used to fail on the derived spacing, as "spacing must be finite", naming neither key nor line
+        message = "line 1: carrier_frequency_hz=4.94066e-324: wavelength is not finite"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(write(tmp_path, "carrier_frequency_hz = 5e-324\n"))
+
     def test_coverage_invariant_surfaces_as_config_error(self, tmp_path):
         # spacing so large the covered angle drops below the station's
         with pytest.raises(ConfigError, match="coverage"):

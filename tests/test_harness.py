@@ -369,7 +369,7 @@ class TestCli:
         ids=["128x128", "16x5", "7x3", "1x1", "1024x513", "carrier-seed-1", "carrier-seed-2", "carrier-seed-3"],
     )
     def test_export_phase_mapper_matches_cli_bytes(self, tmp_path, elements, beams, carrier_hz):
-        # the CLI's numpy-free columns and the library's numpy table print the same bytes
+        # the CLI's numpy-free steps and the library mapper's steps print the same bytes
         text = f"element_count = {elements}\nbeam_count = {beams}\n"
         if carrier_hz is not None:
             text += f"carrier_frequency_hz = {carrier_hz!r}\n"
