@@ -9,9 +9,8 @@ station.
 
 Each public name imports its module on first use, so ``import railbeam``
 loads no submodule and numpy is imported only by the layers that call it
-(``codebook``, ``encounter``, ``numerics``); a traverse log (``traverse``)
-needs no phase table and loads no numpy, and the ``export-codebook``
-subcommand writes the phase table from plain floats without numpy.
+(``encounter``, ``numerics``, and ``codebook``'s array-forming functions);
+a mapper, a traverse log and the phase table's text load no numpy.
 """
 
 from importlib import import_module
@@ -20,8 +19,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "codebook": (
-        "PhaseMapper", "array_factor", "build_phase_mapper", "export_phase_mapper",
-        "select_beam", "simulate_traverse", "steering_vector",
+        "NotYetEnteredError", "PhaseMapper", "TraverseLog", "array_factor", "build_phase_mapper",
+        "export_phase_mapper", "export_traverse", "select_beam", "simulate_traverse", "steering_vector",
     ),
     "config": ("ConfigError", "ExperimentConfig", "load_config"),
     "encounter": (
@@ -39,7 +38,6 @@ _EXPORTS = {
         "PositioningModel", "SearchResult", "effective_probability", "gaussian_tail",
         "search_beam_count",
     ),
-    "traverse": ("NotYetEnteredError", "TraverseLog", "export_traverse"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_MODULE_OF)

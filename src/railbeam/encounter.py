@@ -224,7 +224,9 @@ def _thresholds(table: np.ndarray, trains: _Trains, tol: float) -> np.ndarray:
         return np.where(b >= 0.0, 2.0 * c / (b + root), (root - b) / (2.0 * x1))
 
 
-_MAX_ITERATIONS = 100
+# Bisection shrinks any bracket inside [0, 2] to adjacent doubles within 1,076 halvings, from
+# width 2 to the least spacing 2**-1074; a root far below 1e-30 can take most of them.
+_MAX_ITERATIONS = 1100
 
 
 def _newton(
@@ -236,8 +238,7 @@ def _newton(
     and ``f_hi`` the values at its ends; where ``f_hi`` is zero or has ``f_lo``'s sign the zero is
     ``hi``. Safeguarded Newton from ``x0``, or from the false-position point of the ends where
     ``x0`` is not given, not finite or not strictly inside the bracket. It bisects where a step
-    would leave the bracket, and a step forms the bisections and the bracket check only if some
-    element needs them. It stops at ``|f| <= tol``, where the Newton step rounds back onto ``x``,
+    would leave the bracket. It stops at ``|f| <= tol``, where the Newton step rounds back onto ``x``,
     or once the bracket has shrunk to rounding. Where ``f`` also returns the curvatures ``f''``,
     an element also stops one Newton step ``d`` past ``x``, without evaluating there, when the
     step stays in its bracket, ``|d| <= 1e-7`` and ``|f''|*d*d <= tol/2``, so that Taylor's
@@ -255,15 +256,12 @@ def _newton(
         x0 = x0[i]
         x = np.where((lo < x0) & (x0 < hi), x0, x)
     positive = f_lo > 0.0
-    inside = False  # every x is strictly inside its bracket: true after a step that took no bisection
     for _ in range(_MAX_ITERATIONS):
         if not i.size:
             return out
         fx, slope, *curvature = f(x, i)
         out[i] = x  # each zero is the last x written here
-        done = np.abs(fx) <= tol
-        if not inside:
-            done |= ~((lo < x) & (x < hi))
+        done = (np.abs(fx) <= tol) | ~((lo < x) & (x < hi))
         same = (fx > 0.0) == positive
         lo, hi = np.where(same, x, lo), np.where(same, hi, x)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -275,15 +273,12 @@ def _newton(
                 step = guess - x
                 short = (np.abs(step) <= 1e-7) & (np.abs(curvature[0]) * (step * step) <= 0.5 * tol)
                 sure = short & ok & ~done & (np.abs(slope * np.spacing(x)) <= 0.25 * tol)
-                if np.count_nonzero(sure):
-                    out[i[sure]] = guess[sure]
-                    done |= sure
-        inside = np.count_nonzero(ok) == ok.size
+                out[i[sure]] = guess[sure]
+                done |= sure
         # bisect where a step would leave the bracket
-        x = guess if inside else np.where(ok, guess, 0.5 * (lo + hi))
-        if np.count_nonzero(done):
-            go = np.flatnonzero(~done)
-            i, x, lo, hi, positive = (v[go] for v in (i, x, lo, hi, positive))
+        x = np.where(ok, guess, 0.5 * (lo + hi))
+        go = np.flatnonzero(~done)
+        i, x, lo, hi, positive = (v[go] for v in (i, x, lo, hi, positive))
     if i.size:
         raise ConvergenceError(
             f"|f| > {tol:g} after {_MAX_ITERATIONS} steps for {i.size} of {out.size} elements"

@@ -17,12 +17,13 @@ from typing import Callable, Iterator, Sequence
 
 from . import __version__
 from .config import ExperimentConfig, dbm_to_watts
-from .csvout import PHASE_TABLE_HEADER, phase_text, row_format, write_csv
-from .geometry import _beam_centres, _check_beam_count, _phase_steps, coverage_interval, rail_coordinate
+from .csvout import row_format, write_csv
+from .geometry import coverage_interval, rail_coordinate
 from .positioning import search_beam_count
 
-# ``encounter`` (and so numpy) is imported inside the runners that call it, so
-# ``tradeoff``, ``search-n``, ``traverse`` and ``export-codebook`` never load numpy.
+# ``encounter`` and ``codebook`` are imported inside the runners that call them: ``encounter``
+# loads numpy, and ``codebook`` is not compiled where it is not run. ``tradeoff``, ``search-n``,
+# ``traverse`` and ``export-codebook`` never load numpy.
 
 
 @dataclass(frozen=True)
@@ -127,10 +128,10 @@ def _run_symmetric(cfg: ExperimentConfig):
 
 
 def _run_traverse(cfg: ExperimentConfig):
-    from .traverse import TRAVERSE_HEADER, TraverseLog, _samples, traverse_text
+    from .codebook import TRAVERSE_HEADER, build_phase_mapper, simulate_traverse, traverse_text
 
     array_cfg = cfg.array_config()
-    _check_beam_count(array_cfg, cfg.beam_count)  # the count before the trajectory
+    mapper = build_phase_mapper(array_cfg, cfg.beam_count)  # checks the count before the trajectory
     lo, hi = coverage_interval(array_cfg)
     margin = (hi - lo) * 1e-6
     u_start = rail_coordinate(lo + margin, cfg.d0_m)
@@ -142,15 +143,15 @@ def _run_traverse(cfg: ExperimentConfig):
         trajectory.append((t, math.atan2(cfg.d0_m, u)))
         t += cfg.traverse_dt_s
         u = u_start - cfg.v0_mps * t
-    log = TraverseLog(samples=_samples(trajectory, array_cfg, cfg.beam_count))
+    log = simulate_traverse(trajectory, mapper, array_cfg)
     return {"traverse.csv": (TRAVERSE_HEADER, traverse_text(log))}, []
 
 
 def _run_export_codebook(cfg: ExperimentConfig):
-    # codebook.build_phase_mapper's steps, in plain floats: no numpy
-    array_cfg = cfg.array_config()
-    steps = _phase_steps(array_cfg, _beam_centres(array_cfg, cfg.beam_count))
-    return {"codebook.csv": (PHASE_TABLE_HEADER, phase_text(array_cfg.element_count, steps))}, []
+    from .codebook import PHASE_TABLE_HEADER, build_phase_mapper, phase_table_text
+
+    mapper = build_phase_mapper(cfg.array_config(), cfg.beam_count)
+    return {"codebook.csv": (PHASE_TABLE_HEADER, phase_table_text(mapper))}, []
 
 
 EXPERIMENTS: dict[str, Callable] = {

@@ -180,8 +180,8 @@ def _grid(cfg: ArrayConfig, beam_count: int) -> tuple[float, float, float, float
     """The package's one cell grid: ``(width, lo, hi, origin, half)`` for ``beam_count`` cells.
 
     ``(lo, hi)`` is ``coverage_interval``; ``_locate`` floors an angle into its cell from
-    ``(width, origin, half)``, and the traverse loop ``traverse._samples`` writes the same floor
-    and clamp inline. Even counts anchor the grid at broadside, odd counts at ``lo``; both refine
+    ``(width, origin, half)``, and ``codebook.simulate_traverse`` writes the same floor and
+    clamp inline. Even counts anchor the grid at broadside, odd counts at ``lo``; both refine
     dyadically when the count doubles. All of it is taken once per grid, not per angle.
     """
     width = beamwidth(cfg, beam_count)

@@ -63,8 +63,8 @@ def load_phase_mapper(path, cfg):
             elements = max(elements, int(row["element_id"]))
             if row["element_id"] == "2":
                 steps[int(row["beam_id"])] = float(row["phase_rad"])
-    centres = np.array(_beam_centres(cfg, len(steps)))
-    return PhaseMapper(steps=np.array([steps[b] for b in sorted(steps)]), beam_centers=centres, element_count=elements)
+    centres = tuple(_beam_centres(cfg, len(steps)))
+    return PhaseMapper(steps=tuple(steps[b] for b in sorted(steps)), beam_centers=centres, element_count=elements)
 
 
 def pattern_argmax(mapper, cfg, beam, resolution=1e-4):
@@ -117,6 +117,43 @@ class TestMapperConstruction:
         assert "phases" not in vars(mapper)  # the mapper holds steps, not the (M, N) table
         assert mapper.phases is mapper.phases
 
+    def test_one_beam_leaves_the_table_unbuilt(self):
+        # select_beam and array_factor form their beam's column from its step
+        cfg = ArrayConfig(1024, 0.0625, 0.125)
+        mapper = build_phase_mapper(cfg, 1024)
+        beam, column = select_beam(1.2, mapper, cfg)
+        assert array_factor(1.2, beam, mapper, cfg) > 0.5
+        assert "phases" not in vars(mapper)
+        assert column.tobytes() == mapper.phases[:, beam - 1].tobytes()
+
+    def test_mappers_of_one_config_are_equal(self):
+        a, b = build_phase_mapper(CFG64, 32), build_phase_mapper(CFG64, 32)
+        assert a == b and hash(a) == hash(b)
+        assert a != build_phase_mapper(CFG64, 16)
+
+    def test_beam_plan_loads_no_numpy(self):
+        # a fresh interpreter: the beam-count search, its geometry, a mapper and a traverse
+        # need no numpy; a selected beam's phase column does
+        code = """
+import sys
+from railbeam.codebook import build_phase_mapper, select_beam, simulate_traverse
+from railbeam.config import load_config
+from railbeam.geometry import beam_geometry
+from railbeam.positioning import search_beam_count
+cfg = load_config(None)
+acfg, geo = cfg.array_config(), cfg.rail_geometry(cfg.theta_b_rad)
+n = search_beam_count(acfg, geo, cfg.positioning_model(sigma=cfg.sigma_m, p_th=cfg.p_th_list[0])).optimal_beam_count
+beam_geometry(acfg, geo, n)
+mapper = build_phase_mapper(acfg, n)
+simulate_traverse([(0.0, cfg.theta_b_rad), (1.0, 1.2)], mapper, acfg)
+assert "numpy" not in sys.modules, sorted(sys.modules)
+select_beam(cfg.theta_b_rad, mapper, acfg)
+assert "numpy" in sys.modules
+"""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(codebook.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+
     @pytest.mark.parametrize("elements", [1, 16, 128, 1024])
     def test_table_bytes_match_outer_product_reference(self, elements):
         # tobytes() makes the sign of every zero count, and the strides must agree too
@@ -126,7 +163,7 @@ class TestMapperConstruction:
             mapper = build_phase_mapper(cfg, beams)
             centres = lo + (np.arange(1, beams + 1) - 0.5) * (total_coverage(cfg) / beams)
             phases = np.outer(np.arange(elements), -wavenumber(cfg) * cfg.spacing * np.cos(centres))
-            assert mapper.beam_centers.tobytes() == centres.tobytes()
+            assert array("d", mapper.beam_centers).tobytes() == centres.tobytes()
             assert mapper.phases.tobytes() == phases.tobytes()
             assert mapper.phases.strides == phases.strides
 
@@ -563,7 +600,7 @@ def per_row_reference(mapper):
 
 def plain_steps(mapper):
     """``csvout``'s view of a mapper's table: its element count and its steps as plain floats."""
-    return mapper.element_count, mapper.steps.tolist()
+    return mapper.element_count, list(mapper.steps)
 
 
 def small_mapper(elements, beams):
@@ -699,7 +736,7 @@ class TestSplitPhaseTable:
         error, reaped, text = proc.stdout.decode().split("\n", 2)
         assert error == "phase table helper exited with status 1: helper exited unread"
         assert reaped == "reaped"  # no child process, running or unreaped
-        mapper = PhaseMapper(steps=np.array(steps), beam_centers=np.full(len(steps), math.nan), element_count=1)
+        mapper = PhaseMapper(steps=tuple(steps), beam_centers=(math.nan,) * len(steps), element_count=1)
         assert text == "".join(per_row_reference(mapper))
         assert list(folder.iterdir()) == []
 
@@ -719,7 +756,7 @@ class TestSplitPhaseTable:
         shutil.copytree(os.path.dirname(codebook.__file__), tmp_path / "railbeam", ignore=shutil.ignore_patterns("__pycache__"))
         code = "from railbeam.codebook import build_phase_mapper, ArrayConfig\n"
         code += "from railbeam.csvout import _split_table_text\n"
-        code += "list(_split_table_text(16, build_phase_mapper(ArrayConfig(16, 0.0625, 0.125), 5).steps.tolist()))"
+        code += "list(_split_table_text(16, build_phase_mapper(ArrayConfig(16, 0.0625, 0.125), 5).steps))"
         env = dict(os.environ, PYTHONPATH=str(tmp_path), PYTHONDONTWRITEBYTECODE="1")
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

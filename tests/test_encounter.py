@@ -961,6 +961,26 @@ class TestNewtonSearch:
 
 
 class TestRateRegion:
+    @pytest.mark.parametrize("weight", [1e34, 1e40, 1e100])
+    @pytest.mark.parametrize("eta", [0.0, 0.8])
+    def test_far_stronger_train_2_is_solved(self, eta, weight):
+        # train 2's solo SNR far above train 1's puts roots near split 1e-33 and below, which
+        # the search reaches only by bisection, in more than 100 halvings of its bracket
+        sc = dataclasses.replace(load_config(None).encounter_scenario(eta=eta), beam_weight_2=weight)
+        pairs = rate_region(sc, 21).pairs
+        r1 = [p[0] for p in pairs]
+        assert all(b <= a for a, b in zip(r1, r1[1:]))
+        bound = 0
+        # the last R1 is 1e-14 or less: 2**R1 - 1, and so power_use, keeps few digits there
+        for _, r2 in pairs[:-1]:
+            _, _, profile = no_priority_allocation(sc, r2)
+            if not profile.h2_budget_slack:
+                bound += 1
+                assert profile.power_use(1) == pytest.approx(1.0, abs=1e-12)
+                assert profile.power_use(2) == pytest.approx(1.0, abs=1e-12)
+        assert bound >= 1
+        assert r1[-1] == pytest.approx(priority_rate(sc, 2), abs=1e-12)
+
     @pytest.mark.parametrize("eta", [0.0, 0.4, 0.8, 1.2, 1.6])
     def test_default_grid_takes_few_integral_calls(self, between_calls, eta):
         # a work-count guard: one call for both trains' fixed windows, one for
