@@ -224,9 +224,10 @@ def _thresholds(table: np.ndarray, trains: _Trains, tol: float) -> np.ndarray:
         return np.where(b >= 0.0, 2.0 * c / (b + root), (root - b) / (2.0 * x1))
 
 
-# Bisection shrinks any bracket inside [0, 2] to adjacent doubles within 1,076 halvings, from
-# width 2 to the least spacing 2**-1074; a root far below 1e-30 can take most of them.
-_MAX_ITERATIONS = 1100
+# Every bracket lies in [+0.0, 2], where doubles sort as their bit patterns and 2.0's is 2**62:
+# bisecting the patterns reaches adjacent doubles within 62 halvings, however many decades
+# the bracket spans. The rest of the bound is margin for Newton steps.
+_MAX_ITERATIONS = 100
 
 
 def _newton(
@@ -234,11 +235,15 @@ def _newton(
 ) -> np.ndarray:
     """Zeros in ``[lo, hi]`` of a batch of functions; ``f(x, i)`` is values and slopes of those in ``i``.
 
-    ``lo`` and ``hi`` are each element's bracket (scalars or arrays like ``f_lo``), ``f_lo != 0``
-    and ``f_hi`` the values at its ends; where ``f_hi`` is zero or has ``f_lo``'s sign the zero is
+    ``lo`` and ``hi`` are each element's bracket (scalars or arrays like ``f_lo``), with
+    ``+0.0 <= lo < hi``: every caller searches a split in ``[0, 2 - eta]``. ``f_lo != 0`` and
+    ``f_hi`` are the values at its ends; where ``f_hi`` is zero or has ``f_lo``'s sign the zero is
     ``hi``. Safeguarded Newton from ``x0``, or from the false-position point of the ends where
-    ``x0`` is not given, not finite or not strictly inside the bracket. It bisects where a step
-    would leave the bracket. It stops at ``|f| <= tol``, where the Newton step rounds back onto ``x``,
+    ``x0`` is not given, not finite or not strictly inside the bracket. Where a step would leave
+    the bracket it bisects the bracket's bit patterns, which for non-negative doubles sort as
+    their values, so each halving splits the doubles inside it in two and a root many decades
+    below ``hi`` takes no more passes than one near it. It stops at ``|f| <= tol``, where the
+    Newton step rounds back onto ``x``,
     or once the bracket has shrunk to rounding. Where ``f`` also returns the curvatures ``f''``,
     an element also stops one Newton step ``d`` past ``x``, without evaluating there, when the
     step stays in its bracket, ``|d| <= 1e-7`` and ``|f''|*d*d <= tol/2``, so that Taylor's
@@ -275,8 +280,10 @@ def _newton(
                 sure = short & ok & ~done & (np.abs(slope * np.spacing(x)) <= 0.25 * tol)
                 out[i[sure]] = guess[sure]
                 done |= sure
-        # bisect where a step would leave the bracket
-        x = np.where(ok, guess, 0.5 * (lo + hi))
+        # bisect the bit patterns where a step would leave the bracket; each pattern is halved
+        # before the add, and the carry of their low bits restored, so the sum cannot overflow
+        a, b = lo.view(np.int64), hi.view(np.int64)
+        x = np.where(ok, guess, ((a >> 1) + (b >> 1) + (a & b & 1)).view(np.float64))
         go = np.flatnonzero(~done)
         i, x, lo, hi, positive = (v[go] for v in (i, x, lo, hi, positive))
     if i.size:
@@ -371,7 +378,7 @@ class AllocationProfile:
             return 0.0
         own, other = (self.rate_1, self.rate_2) if train == 1 else (self.rate_2, self.rate_1)
         first = DecodePriority.H1_FIRST if train == 1 else DecodePriority.H2_FIRST
-        return (2.0**own - 1.0) * (2.0**other if order is first else 1.0)
+        return math.expm1(own * LN2) * (2.0**other if order is first else 1.0)
 
     def excitation(self, train: int, t: float) -> float:
         """One train's transmit power over ``p0`` at ``t``: ``snr * noise * d**exponent / weight``."""
@@ -404,7 +411,8 @@ class AllocationProfile:
         early, late = trains.cum.between([0.0, t_split], [t_split, sc.overlap_end])[row].tolist()
         own, other = (self.rate_1, self.rate_2) if train == 1 else (self.rate_2, self.rate_1)
         boosted, plain = (early, late) if train == 1 else (late, early)
-        integral = coeff * (2.0**own - 1.0) * (trains.solo[row] + plain + boosted * 2.0**other)
+        # 2**own - 1 as expm1: a tiny rate keeps its digits, so a budget that binds reads 1.0
+        integral = coeff * math.expm1(own * LN2) * (trains.solo[row] + plain + boosted * 2.0**other)
         return integral * sc.speed / (2.0 * sc.half_coverage)
 
 

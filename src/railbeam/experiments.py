@@ -91,20 +91,25 @@ _REGION_HEADER = ("R2_bps_hz", "R1_bps_hz")
 _REGION_ROW = row_format(_REGION_HEADER)
 
 
-def _region_lines(region: RateRegion) -> Iterator[str]:
-    return (_REGION_ROW.format(r2, r1) for r1, r2 in region.pairs)
+def _region_lines(solve: Callable[..., RateRegion], *args) -> Iterator[str]:
+    """The lines of ``solve(*args)``, solved once its first line is asked for."""
+    for r1, r2 in solve(*args).pairs:
+        yield _REGION_ROW.format(r2, r1)
 
 
 def _run_rate_region(cfg: ExperimentConfig):
     from .encounter import rate_region, tfds_baseline
 
-    files = {}
-    for eta in cfg.eta_list:
-        region = rate_region(cfg.encounter_scenario(eta=eta), cfg.r2_grid_size)
-        files[f"rate_region_eta{eta:g}.csv"] = (_REGION_HEADER, _region_lines(region))
+    # The scenarios are built here, so a config error surfaces before any file is written. Each
+    # region is solved while its file is written and dropped before the next, so a run holds
+    # one region, not all of them; a solve that fails leaves its file with only its header.
+    n, scenario = cfg.r2_grid_size, cfg.encounter_scenario
+    files = {
+        f"rate_region_eta{eta:g}.csv": (_REGION_HEADER, _region_lines(rate_region, scenario(eta=eta), n))
+        for eta in cfg.eta_list
+    }
     # the solo maxima are each train's whole pass, which the entry offset only shifts in time
-    baseline = tfds_baseline(cfg.encounter_scenario(eta=0.0), cfg.r2_grid_size)
-    files["tfds.csv"] = (_REGION_HEADER, _region_lines(baseline))
+    files["tfds.csv"] = (_REGION_HEADER, _region_lines(tfds_baseline, scenario(eta=0.0), n))
     return files, []
 
 

@@ -43,11 +43,11 @@ def three_call_power_use(profile, train):
     coeff = sc.noise_power / (trains.weight[row] * sc.avg_power)
     t_split = min(max(profile._split_time, 0.0), sc.overlap_end)
     if train == 1:
-        gain = 2.0**profile.rate_1 - 1.0
+        gain = math.expm1(profile.rate_1 * encounter.LN2)
         plain = between(a, 0.0) + between(t_split, sc.overlap_end)
         boosted = between(0.0, t_split) * 2.0**profile.rate_2
     else:
-        gain = 2.0**profile.rate_2 - 1.0
+        gain = math.expm1(profile.rate_2 * encounter.LN2)
         plain = between(sc.overlap_end, b) + between(0.0, t_split)
         boosted = between(t_split, sc.overlap_end) * 2.0**profile.rate_1
     return coeff * gain * (plain + boosted) * sc.speed / (2.0 * sc.half_coverage)
@@ -594,7 +594,7 @@ class TestNoPriorityAllocation:
         assert profile.decode_priority((ts + sc.overlap_end) / 2) is DecodePriority.H2_FIRST
         assert profile.decode_priority((sc.overlap_end + 16.0) / 2) is DecodePriority.SINGLE
         # exact boundaries: the overlap holds both its ends, and at the split train 2 is decoded first
-        z1, z2 = 2.0**profile.rate_1 - 1.0, 2.0**profile.rate_2 - 1.0
+        z1, z2 = (math.expm1(r * encounter.LN2) for r in (profile.rate_1, profile.rate_2))
         assert profile.snr(1, 0.0) == z1 * 2.0**profile.rate_2
         assert profile.decode_priority(0.0) is DecodePriority.H1_FIRST
         assert profile.decode_priority(profile._split_time) is DecodePriority.H2_FIRST
@@ -960,26 +960,41 @@ class TestNewtonSearch:
         assert lam.tolist() == [search([j]).item() for j in range(3)]
 
 
+def far_stronger_train_2(eta, weight):
+    """The default config's scenario at ``eta`` with train 2's beam weight raised to ``weight``."""
+    return dataclasses.replace(load_config(None).encounter_scenario(eta=eta), beam_weight_2=weight)
+
+
+far_weights = pytest.mark.parametrize("eta, weight", [(e, w) for e in (0.0, 0.8) for w in (1e34, 1e40, 1e100)])
+
+
 class TestRateRegion:
-    @pytest.mark.parametrize("weight", [1e34, 1e40, 1e100])
-    @pytest.mark.parametrize("eta", [0.0, 0.8])
+    @far_weights
     def test_far_stronger_train_2_is_solved(self, eta, weight):
         # train 2's solo SNR far above train 1's puts roots near split 1e-33 and below, which
-        # the search reaches only by bisection, in more than 100 halvings of its bracket
-        sc = dataclasses.replace(load_config(None).encounter_scenario(eta=eta), beam_weight_2=weight)
+        # the search reaches only by bisection
+        sc = far_stronger_train_2(eta, weight)
         pairs = rate_region(sc, 21).pairs
         r1 = [p[0] for p in pairs]
         assert all(b <= a for a, b in zip(r1, r1[1:]))
         bound = 0
-        # the last R1 is 1e-14 or less: 2**R1 - 1, and so power_use, keeps few digits there
-        for _, r2 in pairs[:-1]:
+        for _, r2 in pairs:
             _, _, profile = no_priority_allocation(sc, r2)
             if not profile.h2_budget_slack:
                 bound += 1
                 assert profile.power_use(1) == pytest.approx(1.0, abs=1e-12)
                 assert profile.power_use(2) == pytest.approx(1.0, abs=1e-12)
-        assert bound >= 1
+        assert bound >= 2  # the last point among them, where R1 is 1e-14 or less
         assert r1[-1] == pytest.approx(priority_rate(sc, 2), abs=1e-12)
+
+    @far_weights
+    def test_far_stronger_train_2_is_solved_in_64_passes(self, monkeypatch, eta, weight):
+        # bisecting the bracket's bit patterns reaches adjacent doubles within 62 halvings of
+        # [0, 2]; halving its values took one pass per halving, more than 64 on each region here
+        sc = far_stronger_train_2(eta, weight)
+        pairs = rate_region(sc, 21).pairs
+        monkeypatch.setattr(encounter, "_MAX_ITERATIONS", 64)
+        assert rate_region(sc, 21).pairs == pairs
 
     @pytest.mark.parametrize("eta", [0.0, 0.4, 0.8, 1.2, 1.6])
     def test_default_grid_takes_few_integral_calls(self, between_calls, eta):

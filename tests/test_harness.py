@@ -1,4 +1,6 @@
 import ast
+import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -7,11 +9,13 @@ import random
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import railbeam
+from railbeam import encounter
 from railbeam.cli import _COMMANDS, main
 from railbeam.codebook import build_phase_mapper, export_phase_mapper
 from railbeam.config import load_config
@@ -85,6 +89,26 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=f"^train {train}'s solo SNR .* is too large: its square overflows$"):
             run_experiment(load_config(path), experiment, out)
         assert all(len(p.read_text().splitlines()) == 1 for p in out.glob("*.csv"))
+
+    def test_rate_region_solves_each_region_while_its_file_is_written(self, small_cfg, tmp_path, monkeypatch):
+        # a run holds one region: each is written out and dropped before the next is solved
+        cfg, out = dataclasses.replace(small_cfg, eta_list=(0.0, 0.8, 2.0)), tmp_path / "o"
+        solve, solved = encounter.rate_region, []
+
+        def tracked(sc, grid_size):
+            gc.collect()
+            assert [ref() for ref, _ in solved] == [None] * len(solved)
+            if solved:
+                last = out / f"rate_region_eta{solved[-1][1]:g}.csv"
+                assert len(last.read_text().splitlines()) == cfg.r2_grid_size + 1
+            region = solve(sc, grid_size)
+            solved.append((weakref.ref(region), sc.entry_offset))
+            return region
+
+        monkeypatch.setattr(encounter, "rate_region", tracked)
+        run_experiment(cfg, "rate-region", out)
+        gc.collect()
+        assert [(ref(), eta) for ref, eta in solved] == [(None, eta) for eta in cfg.eta_list]
 
     def test_byte_determinism(self, small_cfg, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
